@@ -30,11 +30,16 @@ def artifact_dir() -> pathlib.Path:
 
 @pytest.fixture
 def save_artifact(artifact_dir):
-    """Callable: save_artifact(experiment_id, text)."""
+    """Callable: save_artifact(experiment_id, text).
+
+    Writes the same bytes as ``repro run <id> -o`` and campaigns do
+    (text plus one trailing newline), so the files ``cmp`` equal.
+    """
+    from repro.campaign.cache import artifact_text
 
     def _save(experiment_id: str, text: str) -> pathlib.Path:
         path = artifact_dir / f"{experiment_id}.txt"
-        path.write_text(text)
+        path.write_text(artifact_text(text), encoding="utf-8")
         return path
 
     return _save

@@ -108,24 +108,38 @@ def decompose(processes: int, nx: int, ny: int) -> Tuple[int, int]:
     return best
 
 
-@lru_cache(maxsize=64)
-def _block_ocean_counts(
-    nx: int, ny: int, px: int, py: int, ocean_fraction: float, seed: int
-) -> Tuple[float, float]:
-    grid = PopGrid(nx=nx, ny=ny, levels=1, ocean_fraction=ocean_fraction)
-    ocean = ~grid.land_mask(seed)
-    # Sum ocean points per block with integral arithmetic on the edges.
-    ys = np.linspace(0, ny, py + 1, dtype=int)
-    xs = np.linspace(0, nx, px + 1, dtype=int)
-    counts = np.array(
-        [
-            ocean[ys[j] : ys[j + 1], xs[i] : xs[i + 1]].sum()
-            for j in range(py)
-            for i in range(px)
-        ],
-        dtype=float,
-    )
-    return float(counts.mean()), float(counts.max())
+@lru_cache(maxsize=4)
+def _ocean_table(nx: int, ny: int, ocean_fraction: float, seed: int) -> np.ndarray:
+    """Summed-area table of the ocean mask: ``table[j, i]`` = ocean points
+    in rows ``< j`` and columns ``< i``.
+
+    Built once per mask; the float field behind the mask is gone by the
+    time the table is summed.  int32 holds any grid below 2**31 points.
+    """
+    ocean = ~PopGrid(nx=nx, ny=ny, levels=1, ocean_fraction=ocean_fraction).land_mask(seed)
+    dtype = np.int32 if nx * ny < 2**31 else np.int64
+    table = np.zeros((ny + 1, nx + 1), dtype=dtype)
+    np.cumsum(ocean, axis=0, dtype=dtype, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    table.flags.writeable = False
+    return table
+
+
+def _block_ocean_counts(grid: PopGrid, px: int, py: int, seed: int) -> np.ndarray:
+    """Ocean points per block of a ``px`` x ``py`` split, flat in (j, i) order.
+
+    Block edges are the ``np.linspace`` integer edges; each count is
+    four corner reads of the summed-area table.
+    """
+    table = _ocean_table(grid.nx, grid.ny, grid.ocean_fraction, seed)
+    ys = np.linspace(0, grid.ny, py + 1, dtype=int)[:, None]
+    xs = np.linspace(0, grid.nx, px + 1, dtype=int)
+    return (
+        table[ys[1:], xs[1:]]
+        - table[ys[:-1], xs[1:]]
+        - table[ys[1:], xs[:-1]]
+        + table[ys[:-1], xs[:-1]]
+    ).astype(float).ravel()
 
 
 def imbalance(grid: PopGrid, processes: int, seed: int = 101) -> Imbalance:
@@ -140,7 +154,9 @@ def imbalance(grid: PopGrid, processes: int, seed: int = 101) -> Imbalance:
         raise ValueError(
             f"{processes} ranks cannot tile a {grid.nx}x{grid.ny} grid"
         )
-    mean_pts, max_pts = _block_ocean_counts(
-        grid.nx, grid.ny, px, py, grid.ocean_fraction, seed
+    counts = _block_ocean_counts(grid, px, py, seed)
+    return Imbalance(
+        processes=processes,
+        mean_points=float(counts.mean()),
+        max_points=float(counts.max()),
     )
-    return Imbalance(processes=processes, mean_points=mean_pts, max_points=max_pts)

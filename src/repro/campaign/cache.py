@@ -26,7 +26,16 @@ from typing import Any, Dict, Optional, Union
 
 from .spec import canonical_params
 
-__all__ = ["ResultCache", "cache_key", "code_fingerprint", "text_digest"]
+__all__ = ["ResultCache", "artifact_text", "cache_key", "code_fingerprint", "text_digest"]
+
+
+def artifact_text(text: str) -> str:
+    """What an artifact file holds: the text plus one trailing newline.
+
+    Every writer (``repro run -o``, campaigns, the service, the bench
+    scripts) shapes artifacts this way, so their files ``cmp`` equal.
+    """
+    return text if text.endswith("\n") else text + "\n"
 
 
 def text_digest(text: str) -> str:

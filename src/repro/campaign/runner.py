@@ -80,7 +80,7 @@ from ..chaos import (
     torn_text_write,
 )
 from ..perf.hostclock import HostClock, host_sleep
-from .cache import ResultCache, cache_key, code_fingerprint, text_digest
+from .cache import ResultCache, artifact_text, cache_key, code_fingerprint, text_digest
 from .policy import FailurePolicy
 from .pool import fresh_pool, is_broken_pool, teardown_pool
 from .manifest import (
@@ -180,11 +180,6 @@ class CampaignResult:
         if self.interrupted:
             parts.append(f"interrupted ({self.pending} pending)")
         return "; ".join(parts)
-
-
-def _artifact_bytes(text: str) -> str:
-    """Artifacts keep the classic ``repro run -o`` shape: text + newline."""
-    return text if text.endswith("\n") else text + "\n"
 
 
 @dataclass
@@ -406,7 +401,7 @@ class CampaignRunner:
         Returns ``(digest, wrote)``; the no-touch path is what makes an
         all-hits rerun leave every file (content *and* mtime) alone.
         """
-        payload = _artifact_bytes(text)
+        payload = artifact_text(text)
         digest = text_digest(payload)
         path = self._artifact_path(job)
         try:

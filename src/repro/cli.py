@@ -157,8 +157,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
             sharded_fallbacks += fallback_count()
         if outdir:
+            from .campaign.cache import artifact_text
+
             path = outdir / f"{eid}.txt"
-            path.write_text(text + "\n")
+            path.write_text(artifact_text(text))
             print(f"wrote {path}")
         else:
             print(text)

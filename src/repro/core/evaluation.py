@@ -202,8 +202,8 @@ def fig2_halo() -> str:
         out.append(fig.render())
 
     # (e, f) best mapping per grid size, VN and SMP.  Benchmarks are
-    # built once per (grid, mapping): the routing analysis dominates and
-    # is word-independent.
+    # built once per (grid, mapping) so each one's link-load analysis,
+    # which is word-independent, serves the whole sweep.
     for panel, mode, grids in (
         ("e", "VN", [(32, 32), (64, 32), (64, 64), (128, 64)]),
         ("f", "SMP", [(16, 16), (32, 16), (32, 32), (64, 32)]),

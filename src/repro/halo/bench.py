@@ -8,11 +8,14 @@ harness offers two evaluators sharing the machine model:
 * :meth:`HaloBenchmark.run_des` — message-level simulation (used at
   small scale and by the validation tests);
 * :meth:`HaloBenchmark.time_analytic` — static congestion analysis:
-  route every message of a phase over the torus once, find the
+  load every directed torus link with the phase's traffic, find the
   most-loaded link, and combine the bandwidth term with the per-message
-  overhead/latency terms.  Link loads scale linearly with the halo
-  width, so the routing work is done once per (grid, mapping) and
-  reused across the sweep.
+  overhead/latency terms.  The loads come from numpy arrays over all
+  ranks: node coordinates from :meth:`Mapping.node_coords`, periodic
+  peers, and the dimension-order routes walked one hop per step for
+  every message at once.  Link loads scale linearly with the halo
+  width, so this analysis runs once per (grid, mapping) and is reused
+  across the sweep.
 
 The mapping sensitivity of Fig. 2c/d emerges from the congestion
 analysis: mappings that fold the virtual process grid badly onto the
@@ -22,7 +25,9 @@ torus concentrate halo traffic onto few links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..machines.modes import Mode, resolve_mode
 from ..machines.specs import MachineSpec
@@ -30,8 +35,7 @@ from ..simmpi import Cluster
 from ..simmpi.cost import CostModel
 from ..topology.mapping import Mapping
 from ..topology.partition import allocate
-from ..topology.torus import Torus3D
-from .exchange import halo_program, HaloSpec, neighbors2d, WORD_BYTES
+from .exchange import halo_program, HaloSpec, WORD_BYTES
 from .protocols import get_protocol
 
 __all__ = ["HaloBenchmark", "HaloPoint", "best_mapping"]
@@ -89,48 +93,66 @@ class HaloBenchmark:
             )
         self.ranks = ranks
         self.cost = CostModel(machine, self.mode.mode, ranks, partition=self.partition)
-        self._torus = Torus3D(self.partition.torus_shape, machine.torus)
         self._phases: Optional[List[_PhaseShape]] = None
 
     # ------------------------------------------------------------------
     # analytic path
     # ------------------------------------------------------------------
     def _analyze_phases(self) -> List[_PhaseShape]:
-        """Route all messages of both phases once (unit halo width)."""
+        """Link loads and message mix of both phases (unit halo width).
+
+        Every rank sends a weight-1 message to its north (west) peer and
+        a weight-2 one to its south (east) peer.  All messages of a phase
+        walk their dimension-order route (X, Y, Z; shortest wrap, ties
+        ``+``; extent-1 dimensions skipped) together, one hop per step,
+        and each hop adds the message's weight to the directed link
+        ``(node, dim, direction)`` it crosses.
+        """
         if self._phases is not None:
             return self._phases
+        px, py = self.grid
+        n = self.ranks
+        rank = np.arange(n)
+        i, j = rank % px, rank // px
+        phase_peers = (
+            ((j - 1) % py * px + i, (j + 1) % py * px + i),  # north, south
+            (j * px + (i - 1) % px, j * px + (i + 1) % px),  # west, east
+        )
+        shape = self.partition.torus_shape
+        src = self.mapping.node_coords(rank)
+        weights = np.repeat([1.0, 2.0], n)
         phases = []
-        for phase in (0, 1):
-            loads: Dict[tuple, float] = {}
-            max_hops = 0
-            worst_net, worst_shm = 0, 0
-            per_rank_counts: Dict[int, Tuple[int, int]] = {}
-            for rank in range(self.ranks):
-                nb = neighbors2d(rank, self.grid)
-                if phase == 0:
-                    msgs = [(nb["north"], 1.0), (nb["south"], 2.0)]
-                else:
-                    msgs = [(nb["west"], 1.0), (nb["east"], 2.0)]
-                net = shm = 0
-                src_node = self.mapping.node_of(rank)
-                for peer, units in msgs:
-                    dst_node = self.mapping.node_of(peer)
-                    if src_node == dst_node:
-                        shm += 1
-                        continue
-                    net += 1
-                    route = self._torus.route(src_node, dst_node)
-                    max_hops = max(max_hops, len(route))
-                    for key in route:
-                        loads[key] = loads.get(key, 0.0) + units
-                worst_net = max(worst_net, net)
-                worst_shm = max(worst_shm, shm)
+        for near, far in phase_peers:
+            dst = self.mapping.node_coords(np.concatenate([near, far]))
+            cur = np.concatenate([src, src])
+            hops = np.zeros(2 * n, dtype=np.int64)
+            links, loads = [np.zeros(0, np.int64)], [np.zeros(0)]
+            for dim, ext in enumerate(shape):
+                if ext == 1:
+                    continue
+                delta = (dst[:, dim] - cur[:, dim]) % ext
+                forward = delta <= ext - delta
+                step = np.where(forward, 1, -1)
+                dim_hops = np.where(forward, delta, ext - delta)
+                hops += dim_hops
+                for k in range(int(dim_hops.max())):
+                    moving = dim_hops > k
+                    at = cur[moving]
+                    node = (at[:, 2] * shape[1] + at[:, 1]) * shape[0] + at[:, 0]
+                    # link id (node, dim, direction): direction 0 is +, 1 is -
+                    links.append((node * 3 + dim) * 2 + ~forward[moving])
+                    loads.append(weights[moving])
+                    cur[moving, dim] = (at[:, dim] + step[moving]) % ext
+            link_load = np.bincount(
+                np.concatenate(links), np.concatenate(loads), minlength=1
+            )
+            shm = (hops[:n] == 0).astype(int) + (hops[n:] == 0)
             phases.append(
                 _PhaseShape(
-                    max_link_units=max(loads.values()) if loads else 0.0,
-                    max_hops=max_hops,
-                    net_msgs=worst_net,
-                    shm_msgs=worst_shm,
+                    max_link_units=float(link_load.max()),
+                    max_hops=int(hops.max()),
+                    net_msgs=int((2 - shm).max()),
+                    shm_msgs=int(shm.max()),
                 )
             )
         self._phases = phases

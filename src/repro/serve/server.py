@@ -45,7 +45,7 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..campaign.cache import ResultCache, cache_key, code_fingerprint, text_digest
+from ..campaign.cache import ResultCache, artifact_text, cache_key, code_fingerprint, text_digest
 from ..campaign.manifest import (
     JOURNAL_FILE,
     MANIFEST_FILE,
@@ -87,12 +87,6 @@ DB_FILE = "serve.db"
 #: Discovery file: where a running server says it listens (host, port,
 #: pid).  Written atomically on bind; CLI clients read it to connect.
 SERVER_FILE = "server.json"
-
-
-def _artifact_bytes(text: str) -> str:
-    """Identical shaping to the batch runner: text + trailing newline —
-    the byte-for-byte contract the chaos drill ``cmp``s against."""
-    return text if text.endswith("\n") else text + "\n"
 
 
 def _atomic_write(path: pathlib.Path, payload: str) -> None:
@@ -292,7 +286,7 @@ class CampaignServer:
     def _ensure_artifact(self, job_id: str, text: str) -> Tuple[str, str]:
         """Write ``<job_id>.txt`` unless it already holds these bytes;
         returns ``(digest, artifact_name)``."""
-        payload = _artifact_bytes(text)
+        payload = artifact_text(text)
         digest = text_digest(payload)
         name = f"{job_id}.txt"
         path = self.directory / name
@@ -379,7 +373,7 @@ class CampaignServer:
 
     # -- settlement plumbing ------------------------------------------------
     def _settle_success(self, job: JobRow, token: str, text: str, source: str) -> None:
-        payload = _artifact_bytes(text)
+        payload = artifact_text(text)
         digest = text_digest(payload)
         settled = self.leases.settle_success(job, token, digest, f"{job.job_id}.txt")
         if not settled.applied:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Any, Dict, Iterator, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "Mapping",
@@ -97,20 +99,36 @@ class Mapping:
         x, y, z = self.shape
         return x * y * z * self.tasks_per_node
 
-    def coords(self, rank: int) -> Tuple[int, int, int, int]:
-        """Torus coordinates ``(x, y, z, t)`` of ``rank``.
+    def _digits(self, rank: Any) -> Dict[str, Any]:
+        """Mixed-radix digits of ``rank`` (an int or an integer array).
 
         The first letter of :attr:`order` varies fastest.
         """
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} outside [0, {self.size})")
         ext = self.extents
-        vals: Dict[str, int] = {}
+        vals: Dict[str, Any] = {}
         rem = rank
         for letter in self.order:
             vals[letter] = rem % ext[letter]
             rem //= ext[letter]
+        return vals
+
+    def coords(self, rank: int) -> Tuple[int, int, int, int]:
+        """Torus coordinates ``(x, y, z, t)`` of ``rank``."""
+        if not 0 <= rank < self.size:
+            raise ValueError(f"rank {rank} outside [0, {self.size})")
+        vals = self._digits(rank)
         return (vals["X"], vals["Y"], vals["Z"], vals["T"])
+
+    def node_coords(self, ranks: Any) -> np.ndarray:
+        """The ``(x, y, z)`` nodes of many ranks at once: shape ``(n, 3)``.
+
+        Row ``k`` equals ``node_of(ranks[k])``.
+        """
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if ranks.size and not (0 <= ranks.min() and ranks.max() < self.size):
+            raise ValueError(f"ranks outside [0, {self.size})")
+        vals = self._digits(ranks)
+        return np.stack([vals["X"], vals["Y"], vals["Z"]], axis=-1)
 
     def rank(self, x: int, y: int, z: int, t: int = 0) -> int:
         """Inverse of :meth:`coords`."""
