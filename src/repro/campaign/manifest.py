@@ -13,7 +13,9 @@ Three files, three roles:
   pass: ids, params, artifact paths, content digests, status.  This is
   the file CI diffs between runs (and what ``repro run all -o out/``
   emits), so it contains no wall-clock times — it is a pure function
-  of the results.
+  of the results.  One encoder renders it from per-record pieces
+  (:func:`record_text` + :func:`manifest_text`), so a writer that keeps
+  the pieces of unchanged records re-encodes only the ones that moved.
 
 Crash consistency: the campaign file and manifest are written via
 temp-file + ``os.replace`` (a kill mid-rewrite leaves the previous
@@ -43,6 +45,8 @@ __all__ = [
     "write_campaign_file",
     "load_campaign_file",
     "manifest_doc",
+    "record_text",
+    "manifest_text",
     "write_manifest",
     "load_manifest",
     "rebuild_manifest_doc",
@@ -112,7 +116,23 @@ class JobRecord:
         return self.status in ("done", "degraded")
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        """``dataclasses.asdict`` without its deep copy: the containers
+        are fresh copies, their JSON values shared."""
+        return {
+            "job_id": self.job_id,
+            "experiment": self.experiment,
+            "params": dict(self.params),
+            "status": self.status,
+            "source": self.source,
+            "digest": self.digest,
+            "artifact": self.artifact,
+            "attempts": self.attempts,
+            "error": self.error,
+            "error_type": self.error_type,
+            "classification": self.classification,
+            "backoff_s": list(self.backoff_s),
+            "degraded_params": dict(self.degraded_params),
+        }
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "JobRecord":
@@ -218,13 +238,36 @@ def manifest_doc(
     name: str = "campaign",
     code_fingerprint: str = "",
 ) -> Dict[str, Any]:
-    """The manifest document (shared by the writer and the chaos
-    torn-write injection, which must tear exactly these bytes)."""
+    """The manifest as a document (what readers and the journal
+    rebuild hand around; :func:`manifest_text` is its encoding)."""
     return {
         "name": name,
         "code_fingerprint": code_fingerprint,
         "jobs": [r.to_dict() for r in records],
     }
+
+
+def record_text(record: JobRecord) -> str:
+    """One record's piece of the manifest, indented for its place in
+    the ``jobs`` list.  Re-indenting after the fact is exact: a JSON
+    string never holds a raw newline, so every newline is layout."""
+    return json.dumps(record.to_dict(), indent=2, sort_keys=True).replace(
+        "\n", "\n    "
+    )
+
+
+def manifest_text(
+    pieces: List[str], name: str = "campaign", code_fingerprint: str = ""
+) -> str:
+    """Assemble the manifest from :func:`record_text` pieces — the same
+    bytes as ``json.dumps(manifest_doc(...), indent=2, sort_keys=True)``
+    plus a trailing newline."""
+    jobs = "[\n    " + ",\n    ".join(pieces) + "\n  ]" if pieces else "[]"
+    return (
+        f'{{\n  "code_fingerprint": {json.dumps(code_fingerprint)},\n'
+        f'  "jobs": {jobs},\n'
+        f'  "name": {json.dumps(name)}\n}}\n'
+    )
 
 
 def write_manifest(
@@ -234,10 +277,10 @@ def write_manifest(
     code_fingerprint: str = "",
 ) -> pathlib.Path:
     """Write the deterministic run index (shared with ``repro run all``)."""
-    doc = manifest_doc(records, name=name, code_fingerprint=code_fingerprint)
-    return _atomic_write_text(
-        pathlib.Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = manifest_text(
+        [record_text(r) for r in records], name=name, code_fingerprint=code_fingerprint
     )
+    return _atomic_write_text(pathlib.Path(path), text)
 
 
 def load_manifest(path: Union[str, pathlib.Path]) -> Optional[Dict[str, Any]]:

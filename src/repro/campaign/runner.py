@@ -52,7 +52,6 @@ kills, hangs, torn/ioerr writes — while counting every firing
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import pathlib
 from collections import deque
@@ -89,8 +88,9 @@ from .manifest import (
     MANIFEST_FILE,
     JobRecord,
     append_journal,
-    manifest_doc,
+    manifest_text,
     read_journal,
+    record_text,
     write_campaign_file,
     write_manifest,
 )
@@ -465,10 +465,12 @@ class CampaignRunner:
         if event is not None:
             self._note_chaos_event(event)
             if event.kind == "torn":
-                doc = manifest_doc(
-                    ordered, name=self.spec.name, code_fingerprint=self._fingerprint
+                text = manifest_text(
+                    [record_text(r) for r in ordered],
+                    name=self.spec.name,
+                    code_fingerprint=self._fingerprint,
                 )
-                torn_text_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+                torn_text_write(path, text)
                 return
             self._count("write_errors")
             return

@@ -5,10 +5,16 @@ One process, three cooperating loops:
 * the **accept loop** (``asyncio.start_server``) parses one request per
   connection via :mod:`repro.serve.protocol` and answers from the
   durable store — submissions, status, artifacts, drain;
-* the **dispatch loop** (a single asyncio task, ticking every
-  ``tick_s``) sweeps expired leases, heartbeats live ones, leases
-  eligible jobs into a worker pool, and settles completions through the
-  shared :class:`~repro.campaign.policy.FailurePolicy`;
+* the **dispatch loop** (a single asyncio task) wakes on every event
+  that can create or free work — a submission, a finished flight, a
+  drain — then settles completions through the shared
+  :class:`~repro.campaign.policy.FailurePolicy` and leases eligible
+  jobs into a worker pool.  At most once per ``tick_s`` a pass also
+  *sweeps*: it expires dead leases, heartbeats live ones, runs the
+  hard-hang watchdog, and rewrites ``manifest.json`` if the ledger
+  changed (re-encoding only the rows that moved).  Without an event the
+  loop sleeps until the next sweep is due, so backoff requeues still
+  become claimable within ``tick_s``;
 * the **worker pool** (:class:`~concurrent.futures.ProcessPoolExecutor`)
   runs the exact :func:`~repro.campaign.worker.execute_job` the batch
   runner uses — same seeding, same chaos hooks, same classification —
@@ -39,11 +45,13 @@ import json
 import os
 import pathlib
 import signal
+import sys
 import threading
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..campaign.cache import ResultCache, artifact_text, cache_key, code_fingerprint, text_digest
 from ..campaign.manifest import (
@@ -51,7 +59,8 @@ from ..campaign.manifest import (
     MANIFEST_FILE,
     JobRecord,
     append_journal,
-    write_manifest,
+    manifest_text,
+    record_text,
 )
 from ..campaign.policy import FailurePolicy
 from ..campaign.pool import fresh_pool, is_broken_pool, teardown_pool
@@ -95,6 +104,26 @@ def _atomic_write(path: pathlib.Path, payload: str) -> None:
     os.replace(tmp, path)
 
 
+def _row_record(row: tuple) -> JobRecord:
+    """One :meth:`JobStore.record_rows` row as its manifest record."""
+    (_, job_id, experiment, params, state, source, digest, artifact,
+     attempts, error, error_type, classification, backoff_s) = row
+    return JobRecord(
+        job_id=job_id,
+        experiment=experiment,
+        params=json.loads(params),
+        status=state,
+        source=source,
+        digest=digest,
+        artifact=artifact,
+        attempts=attempts,
+        error=error,
+        error_type=error_type,
+        classification=classification,
+        backoff_s=json.loads(backoff_s),
+    )
+
+
 def campaign_id(spec: CampaignSpec) -> str:
     """Deterministic campaign address: same spec ⇒ same id ⇒ resubmits
     collapse onto the existing campaign instead of duplicating it."""
@@ -128,6 +157,9 @@ class ServerConfig:
     deadline_grace: float = 2.0
     max_backlog: int = 64
     shed_retry_after: float = 1.0
+    #: sweep period (lease expiry, heartbeats, watchdog, manifest write)
+    #: and the longest the dispatch loop sleeps without an event;
+    #: dispatch itself runs as soon as a submission or completion lands
     tick_s: float = 0.05
     #: >1 runs each job inside an ambient ``pdes.sharding`` context
     #: (eligible DES runs shard; everything else falls back unsharded)
@@ -199,8 +231,13 @@ class CampaignServer:
         self._flights: Dict[str, _Flight] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._stop: Optional[asyncio.Event] = None
+        self._wake: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._manifest_dirty = True
+        #: job key -> (its last ``record_rows`` row, that row's manifest piece)
+        self._manifest_pieces: Dict[str, Tuple[tuple, str]] = {}
+        #: exception types whose traceback a failed pass already printed
+        self._reported_errors: Set[type] = set()
         self._injector: Optional[ChaosInjector] = None
         self._plan: Optional[ChaosPlan] = None
         recovered = self.store.recover()
@@ -335,38 +372,28 @@ class CampaignServer:
         except OSError:
             self._count("write_errors")
 
-    def _manifest_records(self) -> List[JobRecord]:
-        out: List[JobRecord] = []
-        for row in self.store.jobs():
-            out.append(
-                JobRecord(
-                    job_id=row.job_id,
-                    experiment=row.experiment,
-                    params=row.params,
-                    status=row.state,
-                    source=row.source,
-                    digest=row.digest,
-                    artifact=row.artifact,
-                    attempts=row.attempts,
-                    error=row.error,
-                    error_type=row.error_type,
-                    classification=row.classification,
-                    backoff_s=row.backoff_s,
-                )
-            )
-        return out
-
     def _write_manifest(self) -> None:
         """Snapshot the whole ledger as a manifest.json — including the
         in-flight ``queued``/``leased``/``running`` states, so ``repro
-        campaign status`` works live against a serve directory."""
+        campaign status`` works live against a serve directory.
+
+        Only rows that changed since the last write are decoded and
+        re-encoded; every other row reuses its memoized piece.  Rows are
+        never deleted, so the memo holds exactly the manifest's jobs.
+        """
+        pieces: List[str] = []
+        for row in self.store.record_rows():
+            memo = self._manifest_pieces.get(row[0])
+            if memo is None or memo[0] != row:
+                memo = (row, record_text(_row_record(row)))
+                self._manifest_pieces[row[0]] = memo
+            pieces.append(memo[1])
+        text = manifest_text(
+            pieces, name=self.config.name, code_fingerprint=self._fingerprint
+        )
         try:
-            write_manifest(
-                self.directory / MANIFEST_FILE,
-                self._manifest_records(),
-                name=self.config.name,
-                code_fingerprint=self._fingerprint,
-            )
+            _atomic_write(self.directory / MANIFEST_FILE, text)
+            self._count("manifest_writes")
         except OSError:
             self._count("write_errors")
         self._manifest_dirty = False
@@ -436,30 +463,54 @@ class CampaignServer:
         )
 
     # -- the dispatch loop --------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                self._tick()
-            except Exception:  # noqa: BLE001 - the loop must survive
-                self._count("tick_errors")
-            if self._manifest_dirty:
-                self._write_manifest()
-            if (
-                self.draining
-                and not self._flights
-                and self.store.backlog() == 0
-                and self._stop is not None
-            ):
-                self._stop.set()
-                return
-            await asyncio.sleep(self.config.tick_s)
+    def _wake_dispatcher(self, *_: Any) -> None:
+        """Run a dispatch pass now (also a flight future's done callback)."""
+        if self._wake is not None:
+            self._wake.set()
 
-    def _tick(self) -> None:
-        self._expire_leases()
-        self._heartbeat()
+    async def _dispatch_loop(self, wake: asyncio.Event, stop: asyncio.Event) -> None:
+        next_sweep = self._now()
+        while True:
+            wake.clear()
+            now = self._now()
+            sweep = now >= next_sweep
+            if sweep:
+                next_sweep = now + self.config.tick_s
+            try:
+                self._pass(sweep)
+            except Exception as exc:  # noqa: BLE001 - the loop must survive
+                self._pass_failed(exc)
+            if sweep and self._manifest_dirty:
+                self._write_manifest()
+            if self.draining and not self._flights and self.store.backlog() == 0:
+                stop.set()
+                return
+            with suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(wake.wait(), max(0.0, next_sweep - self._now()))
+
+    def _pass(self, sweep: bool) -> None:
+        if sweep:
+            self._expire_leases()
+            self._heartbeat()
         self._reap_completions()
-        self._watchdog()
+        if sweep:
+            self._watchdog()
         self._claim()
+
+    def _pass_failed(self, exc: Exception) -> None:
+        """Count a failed pass; the first failure of each exception type
+        also prints its traceback, so a persistent fault is never silent."""
+        self._count("tick_errors")
+        if type(exc) in self._reported_errors:
+            return
+        self._reported_errors.add(type(exc))
+        print(
+            f"serve: a dispatch pass raised {type(exc).__name__}; the loop "
+            "keeps running, and later ones of this type only count in "
+            "tick_errors",
+            file=sys.stderr,
+        )
+        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
 
     def _expire_leases(self) -> None:
         for settled in self.leases.expire():
@@ -677,6 +728,7 @@ class CampaignServer:
                 True,
                 self.config.shards,
             )
+            future.add_done_callback(self._wake_dispatcher)
             self._flights[job.lease_token] = _Flight(
                 job=job,
                 token=job.lease_token,
@@ -740,6 +792,7 @@ class CampaignServer:
         if rest == ["drain"] and req.method == "POST":
             self.draining = True
             self._count("drain_requests")
+            self._wake_dispatcher()
             return 200, {"draining": True, "backlog": self.store.backlog()}, {}
         if rest == ["campaigns"]:
             if req.method == "POST":
@@ -890,6 +943,7 @@ class CampaignServer:
                 )
         cid = campaign_id(spec)
         dispositions = self.store.submit(cid, spec.name, spec.to_dict(), rows)
+        self._wake_dispatcher()
         accepted = dispositions.count("accepted")
         cached = dispositions.count("cache")
         dedup = dispositions.count("dedup")
@@ -916,6 +970,7 @@ class CampaignServer:
         """Run until :meth:`request_stop` (or a drain empties the queue)."""
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
+        self._wake = asyncio.Event()
         self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
         server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port
@@ -936,7 +991,7 @@ class CampaignServer:
             + "\n",
         )
         self._write_manifest()
-        dispatcher = asyncio.create_task(self._dispatch_loop())
+        dispatcher = asyncio.create_task(self._dispatch_loop(self._wake, self._stop))
         try:
             async with server:
                 await self._stop.wait()

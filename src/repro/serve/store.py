@@ -483,6 +483,20 @@ class JobStore:
             ).fetchall()
         return [JobRow._from_sql(r) for r in rows]
 
+    def record_rows(self) -> List[tuple]:
+        """Every job's manifest columns, undecoded, in submission order:
+        ``(key, job_id, experiment, params, state, source, digest,
+        artifact, attempts, error, error_type, classification,
+        backoff_s)`` with ``params``/``backoff_s`` still JSON text.  Lease
+        columns are left out, so a heartbeat does not change a row."""
+        cur = self._conn.cursor()
+        cur.row_factory = None
+        return cur.execute(
+            "SELECT key, job_id, experiment, params, state, source, digest, "
+            "artifact, attempts, error, error_type, classification, backoff_s "
+            "FROM jobs ORDER BY seq"
+        ).fetchall()
+
     def campaign(self, campaign_id: str) -> Optional[Dict[str, Any]]:
         row = self._conn.execute(
             "SELECT * FROM campaigns WHERE id=?", (campaign_id,)

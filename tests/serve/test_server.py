@@ -249,3 +249,88 @@ def test_drain_completes_backlog_then_exits(tmp_path):
     }
     assert counts == {"done"}
     assert server.store.recover.__self__ is server.store  # store object survives
+
+
+# ---------------------------------------------------------------------------
+# dispatch: events drive it, the sweep period only bounds housekeeping
+# ---------------------------------------------------------------------------
+def test_dispatch_is_driven_by_events_not_the_clock(tmp_path):
+    """With a 30 s sweep period a campaign still finishes, and a drain
+    still exits, in far less than one period: the submission, every
+    finished flight and the drain each wake the dispatcher.  A loop that
+    sleeps ``tick_s`` between passes needs at least two periods."""
+    server = make_server(tmp_path, jobs=2, tick_s=30.0)
+    handle = server.start_background()
+    try:
+        client = ServeClient("127.0.0.1", server.port)
+        doc = client.submit({"name": "events", "jobs": ["table1", "top500", "lists"]})
+        final = client.wait(doc["campaign"], timeout=20, poll_s=0.02)
+        assert [j["state"] for j in final["jobs"]] == ["done", "done", "done"]
+        client.drain()
+        handle.thread.join(timeout=20)
+        assert not handle.thread.is_alive()
+    finally:
+        handle.stop()
+    # the exit write leaves the manifest current even between sweeps
+    manifest = json.loads((server.directory / "manifest.json").read_text())
+    assert [j["status"] for j in manifest["jobs"]] == ["done", "done", "done"]
+
+
+def test_manifest_writes_are_bounded_by_the_sweep_period(tmp_path):
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    start = time.monotonic()
+    server = make_server(tmp_path, jobs=2, tick_s=0.2, tracer=tracer)
+    handle = server.start_background()
+    try:
+        client = ServeClient("127.0.0.1", server.port)
+        doc = client.submit({"name": "sweep", "jobs": ["table1", "top500", "lists", "fig6"]})
+        client.wait(doc["campaign"], timeout=60, poll_s=0.02)
+        writes = client.stats()["counters"]["manifest_writes"]
+        elapsed = time.monotonic() - start
+    finally:
+        handle.stop()
+    assert 1 <= writes <= elapsed / 0.2 + 2
+    counters = tracer.metrics.to_dict()["counters"]
+    assert counters["serve.manifest_writes"] == server.counters["manifest_writes"]
+
+
+def test_a_failing_dispatch_pass_is_reported_and_survived(tmp_path, capsys, monkeypatch):
+    """A pass that raises is counted, its traceback reaches stderr, and
+    the loop keeps serving: the campaign still finishes."""
+    server = make_server(tmp_path, jobs=1)
+    claim, failures = server._claim, []
+
+    def claim_failing_once():
+        if not failures:
+            failures.append(1)
+            raise OSError(28, "No space left on device")
+        claim()
+
+    monkeypatch.setattr(server, "_claim", claim_failing_once)
+    handle = server.start_background()
+    try:
+        client = ServeClient("127.0.0.1", server.port)
+        doc = client.submit({"name": "flaky", "jobs": ["table1"]})
+        final = client.wait(doc["campaign"], timeout=60, poll_s=0.02)
+        assert final["jobs"][0]["state"] == "done"
+        assert client.stats()["counters"]["tick_errors"] == 1
+    finally:
+        handle.stop()
+    err = capsys.readouterr().err
+    assert err.count("Traceback (most recent call last)") == 1
+    assert "No space left on device" in err
+
+
+def test_pass_failures_print_one_traceback_per_exception_type(tmp_path, capsys):
+    server = make_server(tmp_path)
+    for exc in (OSError("disk full"), OSError("disk still full"), ValueError("bad row")):
+        try:
+            raise exc
+        except Exception as caught:  # noqa: BLE001 - what the loop catches
+            server._pass_failed(caught)
+    assert server.counters["tick_errors"] == 3
+    err = capsys.readouterr().err
+    assert err.count("Traceback (most recent call last)") == 2
+    assert "disk full" in err and "bad row" in err and "disk still full" not in err
