@@ -292,6 +292,10 @@ class Cluster:
             san = Sanitizer(self)
         self.sanitizer = san
         start = self.env.now
+        # The transport counts for the cluster's lifetime; a result
+        # reports only this run's share.
+        sent0 = self.transport.messages_sent
+        bytes0 = self.transport.bytes_sent
         try:
             procs: List[Process] = []
             if prof is not None:
@@ -327,8 +331,8 @@ class Cluster:
             result = ClusterResult(
                 elapsed=self.env.now - start,
                 returns=[p.value for p in procs],
-                messages=self.transport.messages_sent,
-                bytes_sent=self.transport.bytes_sent,
+                messages=self.transport.messages_sent - sent0,
+                bytes_sent=self.transport.bytes_sent - bytes0,
                 trace=self.tracer,
                 faults=(
                     self.fault_injector.finalize()

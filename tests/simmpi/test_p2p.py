@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machines import BGP, XT4_QC
-from repro.simmpi import ANY_SOURCE, Cluster
+from repro.simmpi import ANY_SOURCE, Cluster, ReliabilityPolicy, p2p
 
 
 def run(machine, ranks, program, mode="SMP", **kw):
@@ -228,3 +228,37 @@ def test_xt_higher_bandwidth_than_bgp():
     bgp = run(BGP, 2, stream).returns[1]
     xt = run(XT4_QC, 2, stream).returns[1]
     assert xt < bgp  # more bytes/s on the XT
+
+
+def test_rerun_counts_only_its_own_messages():
+    """A reused cluster's result counts the messages of its own run."""
+
+    def allreduces(comm):
+        for _ in range(8):
+            yield from comm.allreduce(16384, dtype="float32")
+        return comm.now
+
+    cluster = Cluster(BGP, ranks=64, mode="SMP", reliability=ReliabilityPolicy())
+    first = cluster.run(allreduces)
+    second = cluster.run(allreduces)
+    assert (first.messages, first.bytes_sent) == (6144, 16515072)
+    assert (second.messages, second.bytes_sent) == (first.messages, first.bytes_sent)
+
+
+def test_path_cache_cap(monkeypatch):
+    """Past the cap, new node pairs are routed uncached, with the same result."""
+
+    def alltoall(comm):
+        yield from comm.alltoall(1 << 16)  # pairwise exchange at this size
+        return comm.now
+
+    def run_alltoall():
+        cluster = Cluster(BGP, ranks=16, mode="SMP")
+        return cluster, cluster.run(alltoall)
+
+    full_cluster, full = run_alltoall()
+    assert len(full_cluster.transport._paths) == 16 * 15
+    monkeypatch.setattr(p2p, "PATH_CACHE_SIZE", 4)
+    capped_cluster, capped = run_alltoall()
+    assert len(capped_cluster.transport._paths) == 4
+    assert capped == full
