@@ -6,9 +6,9 @@ list; a :class:`CampaignRunner` farms the jobs over a process pool
 (``jobs=N``), reuses results through a content-addressed
 :class:`ResultCache` (key = experiment + canonical params + code
 fingerprint, hit ⇒ byte-identical artifact without recompute), and
-journals every outcome so an interrupted campaign resumes where it
-stopped.  The ``repro campaign run|status|clean`` CLI verbs and
-``repro run all --jobs N`` sit on top.
+journals every outcome that changes a job's record so an interrupted
+campaign resumes where it stopped.  The ``repro campaign
+run|status|clean`` CLI verbs and ``repro run all --jobs N`` sit on top.
 
 Quick start::
 

@@ -5,10 +5,12 @@ Three files, three roles:
 * ``campaign.json`` — the expanded plan: spec + deterministic job
   list.  Written once at campaign start; a resume checks the stored
   plan still matches the requested spec.
-* ``journal.jsonl`` — append-only, one JSON record per finished job
-  attempt, flushed as it happens.  This is what survives an interrupt:
-  a resumed campaign reads the journal to know which jobs already
-  completed.  The last record per job wins.
+* ``journal.jsonl`` — append-only; a job gains a JSON record when a
+  pass settles it with a record different from its last one, and each
+  record is flushed and fsync'd as it is appended.  This is what
+  survives an interrupt: a resumed campaign reads the journal to know
+  which jobs already completed.  The last record per job wins, so a
+  record equal to the last one is never repeated.
 * ``manifest.json`` — the run index rewritten after every campaign
   pass: ids, params, artifact paths, content digests, status.  This is
   the file CI diffs between runs (and what ``repro run all -o out/``
@@ -298,11 +300,11 @@ def rebuild_manifest_doc(
 ) -> Optional[Dict[str, Any]]:
     """Reconstruct a manifest from the torn-tolerant journal.
 
-    Used when ``manifest.json`` is missing or torn: the journal holds
-    one fsync'd record per finished job, so everything except jobs
-    still in flight at the crash comes back.  Plan order is restored
-    from ``campaign.json`` when that file is readable; jobs planned
-    but never journaled surface as ``pending``.
+    Used when ``manifest.json`` is missing or torn: the journal's last
+    fsync'd record per finished job is its latest one, so everything
+    except jobs still in flight at the crash comes back.  Plan order is
+    restored from ``campaign.json`` when that file is readable; jobs
+    planned but never journaled surface as ``pending``.
     """
     directory = pathlib.Path(directory)
     journal = read_journal(directory / JOURNAL_FILE)

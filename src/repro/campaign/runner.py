@@ -10,10 +10,12 @@ A campaign pass has two phases:
    ``jobs == 1`` (keeps monkeypatched registries and ambient tracers
    visible, which the tests rely on), or to a
    :class:`~concurrent.futures.ProcessPoolExecutor` for ``jobs > 1``.
-   Each finished job is journaled and its artifact + cache entry
-   written *as it completes*, so an interrupt loses at most the jobs
-   in flight; the next pass cache-hits everything already done and
-   computes only the remainder.
+   Each finished job's artifact + cache entry is written *as it
+   completes*, and its record is journaled then too — unless the job's
+   last record in the journal is already that exact record (an all-hit
+   rerun after the first one appends nothing).  An interrupt therefore
+   loses at most the jobs in flight; the next pass cache-hits
+   everything already done and computes only the remainder.
 
 The compute pass is hardened against the host failing under it:
 
@@ -57,7 +59,7 @@ import pathlib
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -300,6 +302,9 @@ class CampaignRunner:
         self._plan: Optional[ChaosPlan] = None
         self._injector: Optional[ChaosInjector] = None
         self._fingerprint = ""
+        #: last durable journal record per job: read at the start of a
+        #: pass, then updated by every append that lands
+        self._journaled: Dict[str, JobRecord] = {}
 
     # -- obs hooks (all no-ops when untraced) -------------------------------
     def _now(self) -> float:
@@ -438,6 +443,13 @@ class CampaignRunner:
             self._count("write_errors")
 
     def _journal_append(self, record: JobRecord) -> None:
+        """Append ``record`` unless it equals the job's last durable
+        record — the last record per job wins, so repeating it would
+        change nothing.  A skip touches no file, so no chaos write
+        fault can fire on it; it is counted as ``journal_unchanged``."""
+        if self._journaled.get(record.job_id) == record:
+            self._count("journal_unchanged")
+            return
         path = self.directory / JOURNAL_FILE
         event = (
             self._injector.write_fault("journal", record.job_id)
@@ -454,6 +466,8 @@ class CampaignRunner:
             append_journal(path, record)
         except OSError:
             self._count("write_errors")
+            return
+        self._journaled[record.job_id] = record
 
     def _write_manifest(self, ordered: List[JobRecord]) -> None:
         path = self.directory / MANIFEST_FILE
@@ -552,7 +566,7 @@ class CampaignRunner:
         self.directory.mkdir(parents=True, exist_ok=True)
         if fresh:
             (self.directory / JOURNAL_FILE).unlink(missing_ok=True)
-        prior = read_journal(self.directory / JOURNAL_FILE)
+        prior = self._journaled = read_journal(self.directory / JOURNAL_FILE)
         write_campaign_file(self.directory / CAMPAIGN_FILE, self.spec, jobs)
         self._trace_setup()
 
@@ -590,8 +604,7 @@ class CampaignRunner:
             if previous is not None and previous.status == "quarantined":
                 # Poison carried forward from an earlier pass: skip it
                 # rather than feed it more workers.
-                previous.source = "journal"
-                records[job.job_id] = previous
+                records[job.job_id] = replace(previous, source="journal")
                 self._count("quarantined_skips")
                 continue
             pending.append(job)

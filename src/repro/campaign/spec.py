@@ -15,6 +15,7 @@ import hashlib
 import json
 import pathlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -46,7 +47,9 @@ class Job:
     ``job_id`` is the experiment id for parameter-free jobs and
     ``<experiment>-<digest8>`` otherwise, so default artifacts keep the
     classic ``repro run all`` names (``fig3.txt``) while swept variants
-    get collision-free ones (``fig3-1a2b3c4d.txt``).
+    get collision-free ones (``fig3-1a2b3c4d.txt``).  It is digested
+    once per job and then cached on the instance; ``params`` is never
+    mutated after construction.
     """
 
     experiment: str
@@ -57,7 +60,7 @@ class Job:
     #: under its *own* content address.
     fallback: Optional[Dict[str, Any]] = None
 
-    @property
+    @cached_property
     def job_id(self) -> str:
         if not self.params:
             return self.experiment

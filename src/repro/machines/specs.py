@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Tuple
 
 __all__ = [
@@ -346,25 +347,44 @@ class MachineSpec:
         BG partitions come in torus shapes whose product is the node
         count; we factor into the most-cubic shape with power-of-two-ish
         dimensions, matching how BG/P midplanes compose (8x8x8 per
-        midplane, doubled along axes).
+        midplane, doubled along axes).  The shape depends on ``nodes``
+        alone, so every machine shares one memo (:func:`_torus_shape`).
         """
-        if nodes < 1:
-            raise ValueError("nodes must be >= 1")
-        best = (nodes, 1, 1)
-        best_score = float("inf")
-        x = 1
-        while x * x * x <= nodes * 4:  # allow slightly non-cubic search
-            if nodes % x == 0:
-                rem = nodes // x
-                y = 1
-                while y * y <= rem * 2:
-                    if rem % y == 0:
-                        z = rem // y
-                        dims = tuple(sorted((x, y, z), reverse=True))
-                        score = max(dims) / max(1, min(dims))
-                        if score < best_score:
-                            best_score = score
-                            best = dims
-                    y += 1
-            x += 1
-        return best  # type: ignore[return-value]
+        return _torus_shape(nodes)
+
+
+#: Distinct partition sizes :func:`_torus_shape` remembers.  A campaign
+#: or a paper run asks for a few dozen; the bound only caps a sweep
+#: over every size a machine allows.
+TORUS_SHAPE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=TORUS_SHAPE_CACHE_SIZE, typed=True)
+def _torus_shape(nodes: int) -> Tuple[int, int, int]:
+    """The most-cubic factorization of ``nodes`` (see
+    :meth:`MachineSpec.torus_shape`).
+
+    ``lru_cache`` does not cache exceptions, so ``nodes < 1`` raises on
+    every call; ``typed`` keeps an ``np.int64`` size apart from an
+    ``int`` one, so each caller gets back the element types it always got.
+    """
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
+    best = (nodes, 1, 1)
+    best_score = float("inf")
+    x = 1
+    while x * x * x <= nodes * 4:  # allow slightly non-cubic search
+        if nodes % x == 0:
+            rem = nodes // x
+            y = 1
+            while y * y <= rem * 2:
+                if rem % y == 0:
+                    z = rem // y
+                    dims = tuple(sorted((x, y, z), reverse=True))
+                    score = max(dims) / max(1, min(dims))
+                    if score < best_score:
+                        best_score = score
+                        best = dims
+                y += 1
+        x += 1
+    return best  # type: ignore[return-value]

@@ -11,8 +11,11 @@ where ``threshold`` is the larger of the global ``--fail-over`` and
 the benchmark's own per-entry tolerance, and ``noise_slack`` is twice
 the summed sample stddevs of both snapshots, capped at half the base
 median — median-of-K plus the slack keeps one noisy repetition from
-failing a PR, while the cap guarantees a genuine 2x slowdown trips the
-gate no matter how jittery the samples are.
+failing a PR, while the cap guarantees that a new median twice the
+base median trips the gate (for any threshold below 50%) no matter how
+jittery the samples are.  That is a promise about the two medians, not
+about the code: a base median that itself ran slow can hide a genuine
+2x slowdown of the code's true speed.
 
 A benchmark present in the baseline but absent from the new snapshot
 is a *failure* (``missing``): silently dropping a benchmark is how
@@ -126,8 +129,10 @@ class Comparison:
 _NOISE_SIGMA = 2.0
 
 #: Ceiling on the noise slack, as a fraction of the base median.  An
-#: arbitrarily jittery benchmark must not become ungateable: a genuine
-#: 2x slowdown always clears threshold + cap, however noisy the runs.
+#: arbitrarily jittery benchmark must not become ungateable: a new
+#: median twice the base median always clears threshold + cap (for a
+#: threshold below 50%), however noisy the runs.  A slow base median
+#: can still hide a 2x slowdown of the code itself.
 _NOISE_CAP = 0.5
 
 

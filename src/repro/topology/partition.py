@@ -99,7 +99,11 @@ def allocate(
 
     ``utilization`` is the background load of the rest of the machine
     (only relevant for fragmenting allocators); 0 gives a quiet machine,
-    values near 1 a heavily shared one.
+    values near 1 a heavily shared one.  A quiet machine fragments
+    nothing, so without an explicit ``rng`` it builds no generator: the
+    draws would be multiplied by zero.  With an explicit ``rng`` the two
+    draws are always taken, so the caller's stream advances the same way
+    whatever the utilization.
     """
     if nodes < 1:
         raise ValueError("must request at least one node")
@@ -112,7 +116,7 @@ def allocate(
 
     shape = machine.torus_shape(nodes)
 
-    if machine.contiguous_allocation:
+    if machine.contiguous_allocation or (rng is None and utilization == 0.0):
         return Partition(
             machine=machine,
             nodes=nodes,

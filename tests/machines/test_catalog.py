@@ -1,6 +1,7 @@
 """The machine catalog must encode the paper's Table 1/3 numbers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machines import (
     all_machines,
@@ -149,3 +150,65 @@ def test_torus_shape_factorization():
     assert max(shape) / min(shape) <= 2
     with pytest.raises(ValueError):
         BGP.torus_shape(0)
+
+
+# ---------------------------------------------------------------------------
+# torus_shape: the memo against the factorization loop it replaced
+# ---------------------------------------------------------------------------
+def _reference_torus_shape(nodes):
+    """The uncached loop ``MachineSpec.torus_shape`` ran before the memo."""
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
+    best = (nodes, 1, 1)
+    best_score = float("inf")
+    x = 1
+    while x * x * x <= nodes * 4:
+        if nodes % x == 0:
+            rem = nodes // x
+            y = 1
+            while y * y <= rem * 2:
+                if rem % y == 0:
+                    z = rem // y
+                    dims = tuple(sorted((x, y, z), reverse=True))
+                    score = max(dims) / max(1, min(dims))
+                    if score < best_score:
+                        best_score = score
+                        best = dims
+                y += 1
+        x += 1
+    return best
+
+
+def _check_shape(machine, nodes):
+    want = _reference_torus_shape(nodes)
+    for _ in range(2):  # a miss, then a hit
+        shape = machine.torus_shape(nodes)
+        assert shape == want, (machine.name, nodes)
+        assert isinstance(shape, tuple) and len(shape) == 3
+        assert all(type(d) is int for d in shape)
+        assert shape[0] * shape[1] * shape[2] == nodes
+
+
+def test_torus_shape_memo_matches_loop_for_small_partitions():
+    for nodes in range(1, 4097):
+        _check_shape(BGP, nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_torus_shape_memo_matches_loop_up_to_each_machine(data):
+    machine = data.draw(st.sampled_from(sorted(all_machines().values(), key=lambda m: m.name)))
+    nodes = data.draw(st.integers(1, machine.total_nodes))
+    _check_shape(machine, nodes)
+
+
+@pytest.mark.parametrize("name", sorted(MACHINE_NAMES))
+def test_torus_shape_memo_at_full_machine(name):
+    machine = get_machine(name)
+    _check_shape(machine, machine.total_nodes)
+
+
+def test_torus_shape_rejects_empty_partitions_every_time():
+    for nodes in (0, -1, 0, -4096, 0):
+        with pytest.raises(ValueError, match="nodes must be >= 1"):
+            BGP.torus_shape(nodes)

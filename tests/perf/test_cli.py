@@ -3,7 +3,9 @@
 import json
 
 from repro.cli import main
-from repro.perf import load_snapshot, SLOWDOWN_ENV, snapshot_filename
+from repro.perf import load_snapshot, run_benchmarks, SLOWDOWN_ENV, snapshot_filename
+
+from .test_harness import FakeClock
 
 
 def test_bench_list_shows_suite_and_scripts(capsys):
@@ -54,12 +56,18 @@ def test_bench_compare_self_is_clean(tmp_path, capsys):
 
 
 def test_bench_compare_trips_on_injected_slowdown(tmp_path, capsys, monkeypatch):
+    # A fake clock makes every sample one step long, so the slowed
+    # snapshot's median is exactly twice the base's.  Timed on the host,
+    # a base median that happens to run slow can hide an honest 2x
+    # behind the gate's noise slack.
+    def snapshot(path):
+        run_benchmarks(["engine.heap_churn"], repeats=3, warmup=1, clock=FakeClock()).write(path)
+
     base = tmp_path / "base.json"
     slow = tmp_path / "slow.json"
-    args = ["bench", "run", "engine.heap_churn", "-r", "3", "--warmup", "1"]
-    assert main(args + ["-o", str(base)]) == 0
+    snapshot(base)
     monkeypatch.setenv(SLOWDOWN_ENV, "2")
-    assert main(args + ["-o", str(slow)]) == 0
+    snapshot(slow)
     monkeypatch.delenv(SLOWDOWN_ENV)
     code = main(["bench", "compare", str(base), str(slow), "--fail-over", "15%"])
     assert code == 1

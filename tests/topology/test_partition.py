@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.machines import BGP, XT4_QC
+import repro.topology.partition as partition_module
+from repro.machines import BGP, XT3, XT4_DC, XT4_QC
+from repro.simengine import make_rng
 from repro.topology import allocate, Partition
 
 
@@ -74,3 +76,75 @@ def test_build_torus_degrades_bandwidth_under_contention():
     p = Partition(XT4_QC, 8, (2, 2, 2), route_dilation=1.0, contention_multiplier=2.0)
     t = p.build_torus()
     assert t.spec.link_bandwidth == pytest.approx(XT4_QC.torus.link_bandwidth / 2)
+
+
+# ---------------------------------------------------------------------------
+# a quiet machine builds no generator; every other path draws as before
+# ---------------------------------------------------------------------------
+FRAGMENTING = (XT3, XT4_DC, XT4_QC)
+
+
+def _node_counts(machine):
+    """Node counts spread over the machine's whole range."""
+    top = machine.total_nodes
+    return sorted({1, 2, 7, 64, 100, 512, 1000, top // 3, top // 2, top - 1, top})
+
+
+def _reference_allocate(machine, nodes, rng=None, utilization=0.7):
+    """``allocate`` on a fragmenting machine before the quiet shortcut."""
+    shape = machine.torus_shape(nodes)
+    rng = rng if rng is not None else make_rng()
+    fill = nodes / machine.total_nodes
+    frag_scale = utilization * (1.0 - 0.5 * fill)
+    dilation = 1.0 + frag_scale * float(rng.uniform(0.05, 0.6))
+    contention = 1.0 + frag_scale * float(rng.lognormal(mean=-1.6, sigma=0.7))
+    return Partition(
+        machine=machine,
+        nodes=nodes,
+        torus_shape=shape,
+        route_dilation=dilation,
+        contention_multiplier=contention,
+    )
+
+
+@pytest.mark.parametrize("machine", FRAGMENTING, ids=lambda m: m.name)
+def test_quiet_machine_builds_no_generator(machine, monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a quiet machine must not build a generator")
+
+    want = {n: _reference_allocate(machine, n, utilization=0.0) for n in _node_counts(machine)}
+    monkeypatch.setattr(partition_module, "make_rng", no_rng)
+    for nodes, partition in want.items():
+        got = allocate(machine, nodes, utilization=0.0)
+        assert got == partition
+        assert got.is_isolated
+
+
+@pytest.mark.parametrize("machine", FRAGMENTING, ids=lambda m: m.name)
+def test_quiet_machine_still_draws_from_an_explicit_rng(machine):
+    for nodes in _node_counts(machine):
+        rng = np.random.default_rng(nodes)
+        twin = np.random.default_rng(nodes)
+        got = allocate(machine, nodes, rng=rng, utilization=0.0)
+        twin.uniform(0.05, 0.6)
+        twin.lognormal(mean=-1.6, sigma=0.7)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert got == _reference_allocate(
+            machine, nodes, rng=np.random.default_rng(nodes), utilization=0.0
+        )
+
+
+@pytest.mark.parametrize("machine", FRAGMENTING, ids=lambda m: m.name)
+@pytest.mark.parametrize("utilization", [0.05, 0.7, 1.0])
+def test_busy_machine_draws_as_before(machine, utilization):
+    for nodes in _node_counts(machine):
+        assert allocate(machine, nodes, utilization=utilization) == _reference_allocate(
+            machine, nodes, utilization=utilization
+        )
+        got = allocate(
+            machine, nodes, rng=np.random.default_rng(nodes), utilization=utilization
+        )
+        want = _reference_allocate(
+            machine, nodes, rng=np.random.default_rng(nodes), utilization=utilization
+        )
+        assert got == want
