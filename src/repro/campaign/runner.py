@@ -265,12 +265,9 @@ class CampaignRunner:
         quarantine_after: int = 2,
         chaos: Optional[Union[ChaosSpec, ChaosPlan]] = None,
         retry_seed: int = 0,
-        shards: Optional[int] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1 (or None to disable)")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be > 0 (or None to disable)")
         if deadline_grace < 0:
@@ -296,7 +293,6 @@ class CampaignRunner:
         self.quarantine_after = quarantine_after
         self.chaos = chaos
         self.retry_seed = retry_seed
-        self.shards = shards
         self._clock: Optional[HostClock] = None
         self._running = 0
         self._plan: Optional[ChaosPlan] = None
@@ -724,7 +720,6 @@ class CampaignRunner:
         if text is None:
             outcome = execute_job(
                 job.job_id, job.experiment, fallback, in_worker=False,
-                shards=self.shards,
             )
             if not outcome.ok:
                 # Fallback failed too: record the original failure.
@@ -780,7 +775,6 @@ class CampaignRunner:
                     attempt=state.attempts + 1,
                     deadline_s=self.deadline_s,
                     in_worker=False,
-                    shards=self.shards,
                 )
                 self._note_chaos_keys(outcome.chaos)
                 self._trace_job(job, 0, start, outcome, state.attempts + 1)
@@ -905,7 +899,6 @@ class CampaignRunner:
                             state.attempts + 1,
                             self.deadline_s,
                             True,
-                            self.shards,
                         )
                     except Exception:  # pool died between batches
                         self._mark_running(-1)

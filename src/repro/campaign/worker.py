@@ -166,7 +166,6 @@ def execute_job(
     attempt: int = 1,
     deadline_s: Optional[float] = None,
     in_worker: bool = True,
-    shards: Optional[int] = None,
 ) -> JobOutcome:
     """Run one experiment to rendered text, isolated and seeded.
 
@@ -180,13 +179,6 @@ def execute_job(
     ``chaos`` is an optional compiled :class:`~repro.chaos.ChaosPlan`;
     ``in_worker`` tells a kill injection whether a real process death
     is possible (pool worker) or must be simulated (inline runner).
-
-    ``shards`` > 1 runs the experiment inside an ambient
-    :func:`repro.pdes.sharding` context: eligible DES runs go through
-    the sharded engine, everything else falls back to one engine.
-    Sharded results are byte-identical by construction, so cache keys
-    deliberately exclude the shard count — it is execution policy, not
-    an input.
     """
     from ..core.evaluation import run_experiment
 
@@ -198,13 +190,7 @@ def execute_job(
 
     random.seed(job_seed(job_id))  # simlint: ignore[determinism-hazard]
     try:
-        if shards is not None and shards > 1:
-            from ..pdes.ambient import sharding
-
-            with sharding(shards):
-                text = run_experiment(experiment, **params)
-        else:
-            text = run_experiment(experiment, **params)
+        text = run_experiment(experiment, **params)
     except KeyboardInterrupt:
         # A real Ctrl-C must keep interrupting: inline it unwinds the
         # campaign pass; in a pool worker the executor ships it back

@@ -21,12 +21,11 @@ Usage::
     python -m repro pdes list            # sharded-DES scenarios
     python -m repro pdes run torus-ring --shards 4 -o pdes/   # sharded run
     python -m repro pdes run halo --shards 8 --backend process --bare
-    python -m repro run fig2 --shards 4  # ambient sharding for experiments
     python -m repro trace pop            # traced DES scenario -> Chrome trace
     python -m repro trace pingpong --param nbytes=65536
     python -m repro faults link-kill     # fault-injection scenario
-    python -m repro faults checkpoint --simulate   # executed vs analytic
     python -m repro recover pop-shrink   # checkpoint/restart + ULFM recovery
+    python -m repro recover checkpoint-sim   # executed vs analytic
     python -m repro validate             # check the ten paper claims
     python -m repro machines             # show the machine catalog
     python -m repro lint src/            # simlint static analysis
@@ -92,10 +91,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     jobs = getattr(args, "jobs", 1) or 1
-    shards = getattr(args, "shards", None)
-    if shards is not None and shards < 1:
-        print("repro run: --shards must be >= 1", file=sys.stderr)
-        return 2
     if args.experiment == "all" and args.output:
         # `run all -o` rides the campaign layer: worker pool, result
         # cache under <out>/.cache, and a manifest.json index.
@@ -119,10 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             outcomes = list(
                 ex(
                     _execute_job_tuple,
-                    [
-                        (j.job_id, j.experiment, j.params, shards)
-                        for j in expanded
-                    ],
+                    [(j.job_id, j.experiment, j.params) for j in expanded],
                 )
             )
         status = 0
@@ -140,22 +132,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .obs import Tracer, tracing
 
         tracer = Tracer()
-    sharded_fallbacks = 0
     for eid in ids:
         try:
-            with _maybe_sharding(shards):
-                if tracer is not None:
-                    with tracing(tracer):
-                        text = run_experiment(eid, **params)
-                else:
+            if tracer is not None:
+                with tracing(tracer):
                     text = run_experiment(eid, **params)
+            else:
+                text = run_experiment(eid, **params)
         except KeyError as exc:
             print(exc, file=sys.stderr)
             return 2
-        if shards is not None and shards > 1:
-            from .pdes import fallback_count
-
-            sharded_fallbacks += fallback_count()
         if outdir:
             from .campaign.cache import artifact_text
 
@@ -165,11 +151,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print(text)
             print()
-    if shards is not None and shards > 1:
-        print(
-            f"pdes: ambient sharding x{shards}; "
-            f"{sharded_fallbacks} single-engine fallback(s)"
-        )
     if tracer is not None:
         from .obs import write_chrome_trace, write_metrics
 
@@ -180,24 +161,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_sharding(shards: Optional[int]):
-    """Ambient sharding context when ``--shards`` > 1, else a no-op."""
-    if shards is not None and shards > 1:
-        from .pdes import sharding
-
-        return sharding(shards)
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
 def _execute_job_tuple(job):
-    """Picklable shim: ``pool_map`` feeds (id, experiment, params[, shards])."""
+    """Picklable shim: ``pool_map`` feeds (id, experiment, params)."""
     from .campaign import execute_job
 
-    job_id, experiment, params = job[:3]
-    shards = job[3] if len(job) > 3 else None
-    return execute_job(job_id, experiment, params, shards=shards)
+    return execute_job(*job)
 
 
 def _run_all_campaign(args: argparse.Namespace, params: Dict[str, float], jobs: int) -> int:
@@ -215,10 +183,7 @@ def _run_all_campaign(args: argparse.Namespace, params: Dict[str, float], jobs: 
         from .obs import Tracer
 
         tracer = Tracer()
-    runner = CampaignRunner(
-        spec, outdir, jobs=jobs, tracer=tracer,
-        shards=getattr(args, "shards", None),
-    )
+    runner = CampaignRunner(spec, outdir, jobs=jobs, tracer=tracer)
     try:
         result = _run_campaign(runner, tracer)
     except SpecError as exc:
@@ -258,29 +223,43 @@ def _run_campaign(runner, tracer, **kwargs):
         return runner.run(**kwargs)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import (
-        run_scenario,
-        scenario_ids,
-        summary,
-        write_chrome_trace,
-        write_metrics,
-    )
+def _scenario(args: argparse.Namespace, command: str, prog: str, within=None):
+    """``--list`` one command's scenarios, or run the one ``args`` names.
+
+    ``command`` keys the scenario table (trace, faults, recover) and
+    ``prog`` names the subcommand in errors; ``within`` is an optional
+    context the run happens in.  Returns ``(exit code, tracer)``: the
+    tracer is ``None`` unless a scenario ran, whose result line is then
+    printed.  A missing or unknown id or a bad ``--param`` exits 2.
+    """
+    import contextlib
+
+    from .obs.scenarios import run_scenario, scenario_ids
 
     if args.list_scenarios:
-        for sid in scenario_ids():
+        for sid in scenario_ids(command):
             print(f"  {sid}")
-        return 0
+        return 0, None
     if not args.scenario:
-        print("repro trace: give a scenario id (or --list)", file=sys.stderr)
-        return 2
+        print(f"repro {prog}: give a scenario id (or --list)", file=sys.stderr)
+        return 2, None
     try:
         params = _parse_params(args.params)
-        tracer, result_line = run_scenario(args.scenario, **params)
+        with within or contextlib.nullcontext():
+            tracer, result_line = run_scenario(args.scenario, command, **params)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
-        return 2
+        return 2, None
     print(result_line)
+    return 0, tracer
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from .obs import summary, write_chrome_trace, write_metrics
+
+    code, tracer = _scenario(args, "trace", "trace")
+    if tracer is None:
+        return code
     out = args.output or f"{args.scenario}.trace.json"
     print(f"wrote {write_chrome_trace(tracer, out)}")
     if args.metrics:
@@ -290,51 +269,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from .faults.scenarios import fault_scenario_ids, run_fault_scenario
+def _cmd_faults_or_recover(args: argparse.Namespace) -> int:
     from .obs import write_chrome_trace, write_metrics
 
-    if args.list_scenarios:
-        for sid in fault_scenario_ids():
-            print(f"  {sid}")
-        return 0
-    if not args.scenario:
-        print("repro faults: give a scenario id (or --list)", file=sys.stderr)
-        return 2
-    try:
-        params = _parse_params(args.params)
-        if args.simulate:
-            params["simulate"] = True
-        tracer, result_line = run_fault_scenario(args.scenario, **params)
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(result_line)
-    if args.output:
-        print(f"wrote {write_chrome_trace(tracer, args.output)}")
-    if args.metrics:
-        print(f"wrote {write_metrics(tracer, args.metrics)}")
-    return 0
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    from .obs import write_chrome_trace, write_metrics
-    from .recovery.scenarios import recover_scenario_ids, run_recover_scenario
-
-    if args.list_scenarios:
-        for sid in recover_scenario_ids():
-            print(f"  {sid}")
-        return 0
-    if not args.scenario:
-        print("repro recover: give a scenario id (or --list)", file=sys.stderr)
-        return 2
-    try:
-        params = _parse_params(args.params)
-        tracer, result_line = run_recover_scenario(args.scenario, **params)
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(result_line)
+    code, tracer = _scenario(args, args.command, args.command)
+    if tracer is None:
+        return code
     if args.output:
         print(f"wrote {write_chrome_trace(tracer, args.output)}")
     if args.metrics:
@@ -396,7 +336,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         backoff_base=args.backoff_base,
         quarantine_after=args.quarantine_after,
         chaos=chaos,
-        shards=args.shards,
     )
     try:
         result = _run_campaign(runner, tracer, max_jobs=args.max_jobs, fresh=args.fresh)
@@ -613,7 +552,6 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             chaos=chaos,
             tracer=tracer,
-            shards=args.shards,
         )
     )
     try:
@@ -863,26 +801,14 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_profile(args: argparse.Namespace) -> int:
-    from .obs import run_scenario, scenario_ids, summary, write_chrome_trace
+    from .obs import summary, write_chrome_trace
     from .perf import HostProfiler, profiling
 
-    if args.list_scenarios:
-        for sid in scenario_ids():
-            print(f"  {sid}")
-        return 0
-    if not args.scenario:
-        print("repro bench profile: give a scenario id (or --list)", file=sys.stderr)
-        return 2
     profiler = HostProfiler(cprofile=not args.no_cprofile, top=args.top)
-    try:
-        params = _parse_params(args.params)
-        with profiling(profiler):
-            tracer, result_line = run_scenario(args.scenario, **params)
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    code, tracer = _scenario(args, "trace", "bench profile", within=profiling(profiler))
+    if tracer is None:
+        return code
     profiler.finalize()
-    print(result_line)
     out = args.output or f"{args.scenario}.profile.trace.json"
     print(f"wrote {write_chrome_trace(tracer, out)}")
     print(profiler.report(top=args.top))
@@ -963,6 +889,20 @@ def _cmd_pdes_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_scenario_args(parser: argparse.ArgumentParser, example: str) -> None:
+    """The arguments every scenario-running command shares (see
+    :func:`_scenario`); ``example`` is a ``--param`` shown in the help."""
+    parser.add_argument("scenario", nargs="?", help="scenario id (see --list)")
+    parser.add_argument(
+        "--list", dest="list_scenarios", action="store_true",
+        help="list scenario ids and exit",
+    )
+    parser.add_argument(
+        "--param", dest="params", action="append", metavar="KEY=VALUE",
+        help=f"scenario parameter (repeatable; e.g. --param {example})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -994,12 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-j", "--jobs", type=int, default=1, metavar="N",
         help="worker processes for 'run all' (default: 1; with -o the "
              "run rides the campaign cache and emits a manifest.json)",
-    )
-    p_run.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run eligible DES simulations through the sharded engine "
-             "(N conservative-lookahead shards; ineligible runs fall "
-             "back to one engine, results byte-identical either way)",
     )
     p_run.set_defaults(fn=_cmd_run)
 
@@ -1076,11 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crun.add_argument(
         "--metrics", metavar="FILE", help="write the campaign.* metrics JSON"
-    )
-    p_crun.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run each job's eligible DES simulations sharded N ways "
-             "(execution policy only - cached results stay valid)",
     )
     p_crun.set_defaults(fn=_cmd_campaign_run)
 
@@ -1215,10 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sstart.add_argument(
         "--metrics", metavar="FILE", help="write the serve.* metrics JSON on exit"
     )
-    p_sstart.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run each job's eligible DES simulations sharded N ways",
-    )
     p_sstart.set_defaults(fn=_cmd_serve_start)
 
     p_ssub = serve_sub.add_parser(
@@ -1300,9 +1225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a traceable DES scenario and export its Chrome trace",
     )
-    p_trace.add_argument(
-        "scenario", nargs="?", help="scenario id (see --list)"
-    )
+    _add_scenario_args(p_trace, "nbytes=65536")
     p_trace.add_argument(
         "-o", "--output", help="trace file (default: <scenario>.trace.json)"
     )
@@ -1315,23 +1238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--no-summary", action="store_true", help="skip the ASCII summary"
     )
-    p_trace.add_argument(
-        "--list", dest="list_scenarios", action="store_true",
-        help="list scenario ids and exit",
-    )
-    p_trace.add_argument(
-        "--param", dest="params", action="append", metavar="KEY=VALUE",
-        help="scenario parameter (repeatable; e.g. --param nbytes=65536)",
-    )
     p_trace.set_defaults(fn=_cmd_trace)
 
     p_faults = sub.add_parser(
         "faults",
         help="run a fault-injection/resilience scenario (deterministic)",
     )
-    p_faults.add_argument(
-        "scenario", nargs="?", help="scenario id (see --list)"
-    )
+    _add_scenario_args(p_faults, "nbytes=65536")
     p_faults.add_argument(
         "-o", "--output", metavar="FILE",
         help="write the run's Chrome trace JSON (includes fault instants)",
@@ -1339,23 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument(
         "--metrics", metavar="FILE", help="write the metrics-registry JSON"
     )
-    p_faults.add_argument(
-        "--param", dest="params", action="append", metavar="KEY=VALUE",
-        help="scenario parameter (repeatable; e.g. --param nbytes=65536)",
-    )
-    p_faults.add_argument(
-        "--list", dest="list_scenarios", action="store_true",
-        help="list scenario ids and exit",
-    )
-    p_faults.add_argument(
-        "--simulate", action="store_true",
-        help=(
-            "for the 'checkpoint' scenario: also run the executed "
-            "checkpoint/restart path in the DES and print the "
-            "simulated-vs-analytic runtime delta"
-        ),
-    )
-    p_faults.set_defaults(fn=_cmd_faults)
+    p_faults.set_defaults(fn=_cmd_faults_or_recover)
 
     p_recover = sub.add_parser(
         "recover",
@@ -1364,9 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(deterministic)"
         ),
     )
-    p_recover.add_argument(
-        "scenario", nargs="?", help="scenario id (see --list)"
-    )
+    _add_scenario_args(p_recover, "steps=8")
     p_recover.add_argument(
         "-o", "--output", metavar="FILE",
         help="write the run's Chrome trace JSON (includes recovery spans)",
@@ -1374,15 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover.add_argument(
         "--metrics", metavar="FILE", help="write the metrics-registry JSON"
     )
-    p_recover.add_argument(
-        "--param", dest="params", action="append", metavar="KEY=VALUE",
-        help="scenario parameter (repeatable; e.g. --param steps=8)",
-    )
-    p_recover.add_argument(
-        "--list", dest="list_scenarios", action="store_true",
-        help="list scenario ids and exit",
-    )
-    p_recover.set_defaults(fn=_cmd_recover)
+    p_recover.set_defaults(fn=_cmd_faults_or_recover)
 
     sub.add_parser(
         "validate", help="check the ten qualitative paper claims"
@@ -1503,7 +1390,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="self-profile a traced scenario (host phases + cProfile hotspots)",
     )
-    p_bprof.add_argument("scenario", nargs="?", help="obs scenario id (see --list)")
+    _add_scenario_args(p_bprof, "nbytes=65536")
     p_bprof.add_argument(
         "-o", "--output", metavar="FILE",
         help="trace file (default: <scenario>.profile.trace.json)",
@@ -1518,14 +1405,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bprof.add_argument(
         "--no-summary", action="store_true", help="skip the ASCII summary"
-    )
-    p_bprof.add_argument(
-        "--list", dest="list_scenarios", action="store_true",
-        help="list scenario ids and exit",
-    )
-    p_bprof.add_argument(
-        "--param", dest="params", action="append", metavar="KEY=VALUE",
-        help="scenario parameter (repeatable; e.g. --param nbytes=65536)",
     )
     p_bprof.set_defaults(fn=_cmd_bench_profile)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List
 
 from ..machines import BGL, BGP, XT3, XT4_DC, XT4_QC
+from .params import checked_entry
 from .report import Figure, format_table
 
 __all__ = [
@@ -575,23 +576,7 @@ def validate_experiment_params(experiment_id: str, params: Dict[str, Any]) -> No
     would produce — the campaign spec loader uses this to fail fast at
     expansion time instead of deep inside a worker process.
     """
-    try:
-        fn = EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {experiment_ids()}"
-        ) from None
-    if params:
-        import inspect
-
-        accepted = set(inspect.signature(fn).parameters)
-        unknown = sorted(set(params) - accepted)
-        if unknown:
-            supported = sorted(accepted) if accepted else "none"
-            raise KeyError(
-                f"experiment {experiment_id!r} does not take parameter(s) "
-                f"{unknown}; supported: {supported}"
-            )
+    checked_entry(EXPERIMENTS, experiment_id, params, "experiment")
 
 
 def run_experiment(experiment_id: str, **params: Any) -> str:
@@ -601,5 +586,4 @@ def run_experiment(experiment_id: str, **params: Any) -> str:
     unsupported names raise :class:`KeyError` listing what is accepted
     (most artifacts are parameter-free reproductions of the paper).
     """
-    validate_experiment_params(experiment_id, params)
-    return EXPERIMENTS[experiment_id](**params)
+    return checked_entry(EXPERIMENTS, experiment_id, params, "experiment")(**params)

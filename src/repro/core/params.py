@@ -1,4 +1,4 @@
-"""The canonical ``key=value`` parameter parser.
+"""The canonical ``key=value`` parameter parser and parameter check.
 
 Both the CLI's repeated ``--param key=value`` flags and the campaign
 spec loader (entries may give ``"params": ["nbytes=65536"]`` in the
@@ -6,13 +6,18 @@ CLI string form) funnel through :func:`parse_params`, so there is a
 single grammar and a single error-message path.  Values must be
 numeric — scenario/experiment parameters are sizes, counts, and
 fractions — and integers stay ``int``.
+
+:func:`checked_entry` is the one lookup of a named experiment or
+scenario: find the name, then check the parameters against the
+function's signature.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import inspect
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
-__all__ = ["parse_params"]
+__all__ = ["checked_entry", "parse_params"]
 
 
 def parse_params(pairs: Optional[List[str]]) -> Dict[str, float]:
@@ -45,3 +50,31 @@ def parse_params(pairs: Optional[List[str]]) -> Dict[str, float]:
                 ) from None
         params[key] = value
     return params
+
+
+def checked_entry(
+    table: Mapping[str, Callable[..., Any]],
+    name: str,
+    params: Mapping[str, Any],
+    kind: str,
+) -> Callable[..., Any]:
+    """``table[name]``, once every key of ``params`` is one of its arguments.
+
+    An unknown ``name`` or parameter raises :class:`KeyError` with a
+    one-line message naming ``kind`` (e.g. ``"experiment"``,
+    ``"fault scenario"``) and what is known or supported; the CLI
+    prints it and exits 2.
+    """
+    try:
+        fn = table[name]
+    except KeyError:
+        raise KeyError(f"unknown {kind} {name!r}; known: {list(table)}") from None
+    if params:
+        accepted = set(inspect.signature(fn).parameters)
+        unknown = sorted(set(params) - accepted)
+        if unknown:
+            raise KeyError(
+                f"{kind} {name!r} does not take parameter(s) {unknown}; "
+                f"supported: {sorted(accepted) or 'none'}"
+            )
+    return fn

@@ -16,9 +16,10 @@ simulator feel it:
   economics built on the machine MTBFs and the I/O subsystem model.
 
 Ready-made demonstration scenarios live in
-:mod:`repro.faults.scenarios` (imported lazily by the CLI: that module
-pulls in :mod:`repro.simmpi`, which itself imports this package, so it
-must stay out of this namespace to avoid an import cycle).
+:mod:`repro.faults.scenarios` (loaded on first use by
+:mod:`repro.obs.scenarios`: that module pulls in :mod:`repro.simmpi`,
+which itself imports this package, so it must stay out of this
+namespace to avoid an import cycle).
 """
 
 from .checkpoint import CheckpointModel

@@ -2,26 +2,27 @@
 
 Each scenario exercises one slice of the resilience stack on a small
 partition and returns ``(tracer, result line)`` like the trace
-scenarios in :mod:`repro.obs.scenarios`.  All of them are seeded and
-deterministic: the same seed produces byte-identical traces run to run,
-which the CI ``faults`` job checks with a literal ``cmp``.
+scenarios in :mod:`repro.obs.scenarios`, whose ``run_scenario(id,
+"faults")`` looks them up.  All of them are seeded and deterministic:
+the same seed produces byte-identical traces run to run, which the CI
+``faults`` job checks with a literal ``cmp``.
 
 This module imports :mod:`repro.simmpi` and therefore must NOT be
 imported from ``repro.faults.__init__`` (the transport imports
-``repro.faults.errors``); the CLI imports it directly.
+``repro.faults.errors``); :mod:`repro.obs.scenarios` loads it on first
+use.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..obs.tracer import Tracer, tracing
 from .checkpoint import CheckpointModel
 from .errors import FaultError
 from .plan import FaultPlan, LinkDegrade, LinkFail
 
-__all__ = ["FAULT_SCENARIOS", "run_fault_scenario", "fault_scenario_ids"]
+__all__ = ["SCENARIOS"]
 
 #: The allreduce payload is float32 on purpose: the BG/P tree ALU has
 #: no single-precision support (paper Fig. 3), so the collective runs
@@ -141,16 +142,11 @@ def _degrade(rounds: int = 8, nbytes: int = 16384, factor: float = 0.25) -> Tupl
     )
 
 
-def _checkpoint(
-    simdays: float = 30.0, system_nodes: int = 4096, simulate: bool = False
-) -> Tuple[Tracer, str]:
+def _checkpoint(simdays: float = 30.0, system_nodes: int = 4096) -> Tuple[Tracer, str]:
     """Young/Daly checkpoint-adjusted POP wall-clock, two Table 1 machines.
 
-    With ``simulate`` (``repro faults checkpoint --simulate``) the
-    *executed* checkpoint/restart protocol of :mod:`repro.recovery` is
-    also run in the DES on each machine, and the simulated-vs-analytic
-    runtime delta is appended — the cross-validation that the live
-    protocol reproduces the model it was derived from.
+    ``repro recover checkpoint-sim`` runs the *executed*
+    checkpoint/restart protocol against the same model.
     """
     from ..apps.pop.des_replay import checkpointed_walltime
     from ..apps.pop.grid import PopGrid
@@ -166,14 +162,6 @@ def _checkpoint(
                 simdays=simdays, system_nodes=system_nodes,
             )
             lines.append(rep.format())
-    if simulate:
-        # Deliberately outside the tracing context: the comparison runs
-        # hundreds of restart-driver steps that would swamp the trace.
-        from ..recovery.scenarios import simulate_checkpointing
-
-        for machine in (BGP, XT4_QC):
-            cmp_ = simulate_checkpointing(machine, steps=300)
-            lines.append(f"executed vs analytic: {cmp_.format()}")
     return tracer, "\n".join(lines)
 
 
@@ -199,37 +187,10 @@ def _mtbf(
     )
 
 
-FAULT_SCENARIOS: Dict[str, Callable[..., Tuple[Tracer, str]]] = {
+SCENARIOS: Dict[str, Callable[..., Tuple[Tracer, str]]] = {
     "link-kill": _link_kill,
     "link-kill-noretry": _link_kill_noretry,
     "degrade": _degrade,
     "checkpoint": _checkpoint,
     "mtbf": _mtbf,
 }
-
-
-def fault_scenario_ids() -> List[str]:
-    return list(FAULT_SCENARIOS)
-
-
-def run_fault_scenario(scenario_id: str, **params: Any) -> Tuple[Tracer, str]:
-    """Run one fault scenario; returns (tracer, result line).
-
-    ``params`` must match keyword arguments of the scenario function;
-    anything else raises :class:`KeyError` naming what is supported.
-    """
-    try:
-        fn = FAULT_SCENARIOS[scenario_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown fault scenario {scenario_id!r}; known: {fault_scenario_ids()}"
-        ) from None
-    if params:
-        accepted = set(inspect.signature(fn).parameters)
-        unknown = sorted(set(params) - accepted)
-        if unknown:
-            raise KeyError(
-                f"scenario {scenario_id!r} does not take parameter(s) "
-                f"{unknown}; supported: {sorted(accepted)}"
-            )
-    return fn(**params)

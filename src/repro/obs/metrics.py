@@ -6,8 +6,7 @@ Three instrument kinds cover what the simulator needs to report:
   bytes carried, contention stalls).
 * :class:`Gauge` — a last-value-wins sample that also remembers its
   maximum (event-queue depth, in-flight requests).
-* :class:`Histogram` — power-of-two bucketed counts (message sizes),
-  the same bucketing :class:`~repro.simmpi.stats.CommStats` uses.
+* :class:`Histogram` — power-of-two bucketed counts (message sizes).
 
 All instruments live in a :class:`MetricsRegistry`, are created on
 first use, and serialize to a flat, deterministic dict for the metrics

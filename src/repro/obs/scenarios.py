@@ -1,16 +1,22 @@
-"""Traceable discrete-event scenarios for ``repro trace``.
+"""Traceable discrete-event scenarios, and the one scenario lookup.
 
 Each scenario runs a small message-level simulation with a
 :class:`~repro.obs.tracer.Tracer` attached and returns the tracer plus
-a one-line result description.  They cover one microbenchmark kernel
-per network path (torus p2p, software collectives) and one application
-model (POP with named baroclinic/barotropic phases), mirroring the
-paper's instrumented-measurement methodology at laptop scale.
+a one-line result description.  The ``repro trace`` scenarios here
+cover one microbenchmark kernel per network path (torus p2p, software
+collectives) and one application model (POP with named
+baroclinic/barotropic phases), mirroring the paper's
+instrumented-measurement methodology at laptop scale.
+
+:func:`run_scenario` and :func:`scenario_ids` serve every CLI command
+that runs scenarios, keyed by the command: ``trace`` (this module),
+``faults`` (:mod:`repro.faults.scenarios`) and ``recover``
+(:mod:`repro.recovery.scenarios`).
 """
 
 from __future__ import annotations
 
-import inspect
+import importlib
 from typing import Any, Callable, Dict, List, Tuple
 
 from .tracer import Tracer, tracing
@@ -113,29 +119,38 @@ SCENARIOS: Dict[str, Callable[..., Tuple[Tracer, str]]] = {
 }
 
 
-def scenario_ids() -> List[str]:
-    return list(SCENARIOS)
+#: CLI command -> (module holding its ``SCENARIOS`` table, name in
+#: errors).  The fault and recovery tables load on first use: every
+#: Cluster.run imports repro.obs, and those modules pull in the whole
+#: repro.faults and repro.recovery packages.
+_TABLES = {
+    "trace": (__name__, "trace scenario"),
+    "faults": ("repro.faults.scenarios", "fault scenario"),
+    "recover": ("repro.recovery.scenarios", "recovery scenario"),
+}
 
 
-def run_scenario(scenario_id: str, **params: Any) -> Tuple[Tracer, str]:
-    """Run one traceable scenario; returns (tracer, result line).
+def _table(command: str) -> Dict[str, Callable[..., Tuple[Tracer, str]]]:
+    return importlib.import_module(_TABLES[command][0]).SCENARIOS
+
+
+def scenario_ids(command: str = "trace") -> List[str]:
+    """The scenario ids of one CLI command: trace, faults or recover."""
+    return list(_table(command))
+
+
+def run_scenario(
+    scenario_id: str, command: str = "trace", **params: Any
+) -> Tuple[Tracer, str]:
+    """Run one of ``command``'s scenarios; returns (tracer, result line).
 
     ``params`` must match keyword arguments of the scenario function
-    (e.g. ``nbytes`` for pingpong); unsupported names raise
-    :class:`KeyError` naming what is accepted.
+    (e.g. ``nbytes`` for pingpong); an unknown id or parameter raises
+    :class:`KeyError` naming what is known or supported.
     """
-    try:
-        fn = SCENARIOS[scenario_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown trace scenario {scenario_id!r}; known: {scenario_ids()}"
-        ) from None
-    if params:
-        accepted = set(inspect.signature(fn).parameters)
-        unknown = sorted(set(params) - accepted)
-        if unknown:
-            raise KeyError(
-                f"scenario {scenario_id!r} does not take parameter(s) "
-                f"{unknown}; supported: {sorted(accepted)}"
-            )
+    # Imported here, not at module load: every Cluster.run imports
+    # repro.obs, and repro.core loads ~50 modules a run does not need.
+    from ..core.params import checked_entry
+
+    fn = checked_entry(_table(command), scenario_id, params, _TABLES[command][1])
     return fn(**params)

@@ -7,7 +7,7 @@ implement the same three-method surface:
 * :class:`InlineBackend` holds the :class:`~repro.pdes.shard.ShardRuntime`
   objects directly and advances them sequentially.  Deterministic,
   zero-overhead, works for arbitrary (unpicklable) programs — it is
-  what the ambient ``--shards`` path and the test suite use.
+  the default of ``repro pdes run`` and what the test suite uses.
 * :class:`ProcessBackend` pins one OS process per shard (a persistent
   worker over a :class:`multiprocessing.Pipe`, the same
   process-isolation idea as ``campaign.pool`` but with per-worker

@@ -1,9 +1,7 @@
 """Errors raised by the parallel-DES subsystem.
 
-Kept dependency-free (stdlib only): :mod:`repro.simmpi.comm` imports
-:class:`ShardUnsupportedError` at module load to gate the ambient
-``--shards`` interception, so this module must never import simulator
-code back.
+Kept dependency-free (stdlib only) so ``import repro.pdes`` loads no
+simulator code.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ class ShardUnsupportedError(PdesError):
 
     Raised mid-run when a program touches machinery that synchronizes
     across the whole partition in one engine (hardware tree/barrier
-    collectives, fault injection, ULFM recovery).  The ambient
-    ``--shards`` path catches this and falls back to the single-engine
-    run; the explicit ``repro pdes run`` path reports it.
+    collectives, fault injection, ULFM recovery); ``repro pdes run``
+    reports it.
     """
 
 

@@ -15,7 +15,7 @@ pays the rendezvous handshake).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..machines.modes import ModeConfig, resolve_mode
 from ..machines.specs import MachineSpec
@@ -48,7 +48,6 @@ class ShardPlan:
         shards: int,
         mode: str = "SMP",
         mapping: str = "XYZT",
-        partition: Optional[Partition] = None,
     ) -> "ShardPlan":
         """Plan a sharded run of ``ranks`` ranks split ``shards`` ways.
 
@@ -60,8 +59,7 @@ class ShardPlan:
             raise ValueError("shards must be >= 1")
         mode_cfg = resolve_mode(machine, mode)
         nodes = mode_cfg.nodes_for_ranks(ranks)
-        if partition is None:
-            partition = allocate(machine, nodes, utilization=0.0)
+        partition = allocate(machine, nodes, utilization=0.0)
         shape = partition.torus_shape
         axis = slab_axis(shape)
         if shards > shape[axis]:

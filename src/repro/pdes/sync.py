@@ -47,7 +47,6 @@ class PdesStats:
     boundary_events: int = 0
     engine_steps: int = 0
     link_conflicts: int = 0
-    fallback: bool = False
 
     def as_dict(self) -> Dict[str, float]:
         return {

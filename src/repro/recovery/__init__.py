@@ -20,10 +20,11 @@ runs *survive*.  Three cooperating pieces:
   completed checkpoint, bounded by ``max_restarts``).
 
 Runnable demonstration scenarios live in
-:mod:`repro.recovery.scenarios` (imported lazily by the CLI: that
-module pulls in :mod:`repro.apps`, which imports :mod:`repro.simmpi`,
-which imports this package — keeping it out of this namespace avoids
-the cycle, mirroring :mod:`repro.faults.scenarios`).
+:mod:`repro.recovery.scenarios` (loaded on first use by
+:mod:`repro.obs.scenarios`: that module pulls in :mod:`repro.apps`,
+which imports :mod:`repro.simmpi`, which imports this package —
+keeping it out of this namespace avoids the cycle, mirroring
+:mod:`repro.faults.scenarios`).
 """
 
 from .driver import RecoveryOutcome, run_recovered, run_with_recovery

@@ -2,32 +2,28 @@
 
 Each scenario exercises one slice of the recovery stack on a small
 partition and returns ``(tracer, result line)`` like the fault
-scenarios in :mod:`repro.faults.scenarios`.  All of them are
-deterministic: the same parameters produce byte-identical traces run to
-run, which the CI ``recovery`` job checks with a literal ``cmp``.
+scenarios in :mod:`repro.faults.scenarios`; ``run_scenario(id,
+"recover")`` in :mod:`repro.obs.scenarios` looks them up.  All of them
+are deterministic: the same parameters produce byte-identical traces
+run to run, which the CI ``recovery`` job checks with a literal
+``cmp``.
 
 This module imports :mod:`repro.apps` (which imports
 :mod:`repro.simmpi`, which imports :mod:`repro.recovery`) and therefore
-must NOT be imported from ``repro.recovery.__init__``; the CLI imports
-it directly, mirroring :mod:`repro.faults.scenarios`.
+must NOT be imported from ``repro.recovery.__init__``;
+:mod:`repro.obs.scenarios` loads it on first use, as it does
+:mod:`repro.faults.scenarios`.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..obs.tracer import Tracer, tracing
 from .policy import CheckpointSchedule, RecoveryPolicy
 
-__all__ = [
-    "CheckpointComparison",
-    "RECOVER_SCENARIOS",
-    "recover_scenario_ids",
-    "run_recover_scenario",
-    "simulate_checkpointing",
-]
+__all__ = ["CheckpointComparison", "SCENARIOS", "simulate_checkpointing"]
 
 
 def _pop_setup(processes: int, steps: int):
@@ -288,38 +284,10 @@ def _checkpoint_sim(steps: float = 300) -> Tuple[Tracer, str]:
     return Tracer(), "\n".join(lines)
 
 
-RECOVER_SCENARIOS: Dict[str, Callable[..., Tuple[Tracer, str]]] = {
+SCENARIOS: Dict[str, Callable[..., Tuple[Tracer, str]]] = {
     "pop-shrink": _pop_shrink,
     "pop-restart": _pop_restart,
     "s3d-shrink": _s3d_shrink,
     "livelock": _livelock,
     "checkpoint-sim": _checkpoint_sim,
 }
-
-
-def recover_scenario_ids() -> List[str]:
-    return list(RECOVER_SCENARIOS)
-
-
-def run_recover_scenario(scenario_id: str, **params: Any) -> Tuple[Tracer, str]:
-    """Run one recovery scenario; returns (tracer, result line).
-
-    ``params`` must match keyword arguments of the scenario function;
-    anything else raises :class:`KeyError` naming what is supported.
-    """
-    try:
-        fn = RECOVER_SCENARIOS[scenario_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown recovery scenario {scenario_id!r}; "
-            f"known: {recover_scenario_ids()}"
-        ) from None
-    if params:
-        accepted = set(inspect.signature(fn).parameters)
-        unknown = sorted(set(params) - accepted)
-        if unknown:
-            raise KeyError(
-                f"scenario {scenario_id!r} does not take parameter(s) "
-                f"{unknown}; supported: {sorted(accepted)}"
-            )
-    return fn(**params)

@@ -161,9 +161,6 @@ class ServerConfig:
     #: and the longest the dispatch loop sleeps without an event;
     #: dispatch itself runs as soon as a submission or completion lands
     tick_s: float = 0.05
-    #: >1 runs each job inside an ambient ``pdes.sharding`` context
-    #: (eligible DES runs shard; everything else falls back unsharded)
-    shards: Optional[int] = None
     cache_dir: Optional[Union[str, pathlib.Path]] = None
     chaos: Optional[Union[ChaosSpec, ChaosPlan]] = None
     tracer: Optional[Any] = None
@@ -726,7 +723,6 @@ class CampaignServer:
                 attempt,
                 self.config.deadline_s,
                 True,
-                self.config.shards,
             )
             future.add_done_callback(self._wake_dispatcher)
             self._flights[job.lease_token] = _Flight(

@@ -13,9 +13,7 @@ from .cost import CostModel
 from .datatypes import bytes_of, DTYPE_SIZES, FLOAT32, FLOAT64, INT32, INT64
 from .p2p import Message, ReliabilityPolicy, Transport
 from .reqs import Request
-from .stats import attach_stats, CommStats
 from .subcomm import split_by, SubComm
-from .timeline import attach_timeline, Interval, Timeline
 
 __all__ = [
     "Cluster",
@@ -34,11 +32,6 @@ __all__ = [
     "FLOAT64",
     "INT32",
     "INT64",
-    "CommStats",
-    "attach_stats",
-    "Timeline",
-    "Interval",
-    "attach_timeline",
     "SubComm",
     "split_by",
 ]

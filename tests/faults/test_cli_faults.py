@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults.scenarios import fault_scenario_ids, run_fault_scenario
+from repro.obs.scenarios import run_scenario, scenario_ids
 
 
 def test_faults_list(capsys):
     assert main(["faults", "--list"]) == 0
     out = capsys.readouterr().out
-    for sid in fault_scenario_ids():
+    for sid in scenario_ids("faults"):
         assert sid in out
 
 
@@ -62,7 +62,7 @@ def test_link_kill_traces_are_byte_identical():
     def trace_bytes():
         from repro.obs import chrome_trace_json
 
-        tracer, _line = run_fault_scenario("link-kill", rounds=4)
+        tracer, _line = run_scenario("link-kill", "faults", rounds=4)
         return chrome_trace_json(tracer)
 
     assert trace_bytes() == trace_bytes()

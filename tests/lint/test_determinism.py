@@ -6,14 +6,8 @@ the property the engine's docstring promises); a regression here means
 something nondeterministic crept into the simulator core.
 """
 
-import pytest
-
 from repro.machines import BGP, XT4_QC
-from repro.simmpi import attach_stats, Cluster
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:attach_stats\\(\\) is deprecated:DeprecationWarning"
-)
+from repro.simmpi import Cluster
 
 
 def workload(comm):
@@ -40,9 +34,13 @@ def run_once(machine, ranks=8, seed=42):
         rng=np.random.default_rng(seed),
         utilization=0.3,
     )
-    stats = attach_stats(cluster)
+    trace = []
+    cluster.transport.add_send_hook(
+        lambda src, dst, nbytes, tag, start, _end: trace.append(
+            (start, src, dst, nbytes, tag)
+        )
+    )
     result = cluster.run(workload, sanitize=True)
-    trace = [(e.time, e.src, e.dst, e.nbytes, e.tag) for e in stats.trace]
     return result, trace, cluster.env.events_processed
 
 

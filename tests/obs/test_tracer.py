@@ -1,5 +1,10 @@
 """Tracer behaviour: determinism, zero-cost-when-disabled, spans."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.machines import BGP, XT4_QC
@@ -64,6 +69,36 @@ def test_disabled_tracer_records_nothing(monkeypatch):
     cluster = Cluster(BGP, ranks=4, mode="VN")
     res = cluster.run(_ring_program)
     assert res.trace is None
+
+
+def test_plain_run_loads_no_extra_packages():
+    """Every Cluster.run imports repro.obs; in a fresh interpreter that
+    must not load the sharded engine, the experiment registry or the
+    campaign layer."""
+    script = (
+        "import sys\n"
+        "from repro.machines import BGP\n"
+        "from repro.simmpi import Cluster\n"
+        "def program(comm):\n"
+        "    yield from comm.send((comm.rank + 1) % comm.size, nbytes=64)\n"
+        "    yield from comm.recv()\n"
+        "Cluster(BGP, ranks=2, mode='SMP').run(program)\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = proc.stdout.split()
+    assert "repro.simmpi.comm" in loaded
+    unwanted = ("repro.pdes", "repro.core", "repro.campaign")
+    assert [m for m in loaded if m.startswith(unwanted)] == []
 
 
 # -- Cluster.run(trace=True) ----------------------------------------------

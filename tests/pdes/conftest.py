@@ -4,10 +4,7 @@ Mirrors ``tests/simmpi/conftest.py``: ``REPRO_SANITIZE=1`` forces the
 simulation sanitizer onto every ``Cluster.run`` — the byte-identity
 tests still pass because the sanitizer leaves canonical artifacts
 untouched, and the reference (single-engine) path is exercised with it
-armed.  Tests that assert the ambient sharded path actually *engages*
-opt out with ``@pytest.mark.no_sanitize``: an armed sanitizer is a
-documented fallback trigger, so under it those runs would (correctly)
-fall back to one engine.
+armed.
 """
 
 import os
@@ -17,11 +14,5 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _sanitize_when_requested(request):
-    if os.environ.get("REPRO_SANITIZE") and "no_sanitize" not in request.keywords:
+    if os.environ.get("REPRO_SANITIZE"):
         request.getfixturevalue("sanitize_runs")
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "no_sanitize: skip the REPRO_SANITIZE autouse sanitizer"
-    )

@@ -1,4 +1,4 @@
-"""CLI surface: ``repro pdes list/run`` and ``repro run --shards``."""
+"""CLI surface: ``repro pdes list/run``."""
 
 import filecmp
 
@@ -54,14 +54,3 @@ def test_pdes_run_bare_skips_artifacts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--bare records no artifacts" in err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_run_shards_flag_reports_policy(capsys):
-    assert main(["run", "table3", "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "ambient sharding x2" in out
-
-
-def test_run_shards_flag_validated(capsys):
-    assert main(["run", "table3", "--shards", "0"]) == 2
-    assert "--shards must be >= 1" in capsys.readouterr().err

@@ -1,18 +1,18 @@
-"""The ``repro recover`` subcommand and ``faults checkpoint --simulate``."""
+"""The ``repro recover`` subcommand."""
 
 import json
 
 from repro.cli import main
-from repro.recovery.scenarios import recover_scenario_ids
+from repro.obs.scenarios import scenario_ids
 
 
 def test_recover_list(capsys):
     assert main(["recover", "--list"]) == 0
     out = capsys.readouterr().out
-    for sid in recover_scenario_ids():
+    for sid in scenario_ids("recover"):
         assert sid in out
     assert {"pop-shrink", "pop-restart", "s3d-shrink", "livelock",
-            "checkpoint-sim"} <= set(recover_scenario_ids())
+            "checkpoint-sim"} <= set(scenario_ids("recover"))
 
 
 def test_recover_requires_scenario(capsys):
@@ -56,11 +56,13 @@ def test_recover_pop_shrink_writes_artifacts(tmp_path, capsys):
 
 
 def test_faults_checkpoint_simulate(capsys):
-    assert main(["faults", "checkpoint", "--simulate"]) == 0
+    """``recover checkpoint-sim`` compares the executed checkpoint
+    protocol with the analytic Young/Daly model."""
+    assert main(["recover", "checkpoint-sim"]) == 0
     out = capsys.readouterr().out
-    assert "executed vs analytic" in out
+    assert "simulated (DES)" in out
     # Both Table 1 machines are compared and each shows a signed delta.
-    assert out.count("executed vs analytic") >= 2
+    assert out.count("simulated (DES)") >= 2
     assert "%" in out
 
 

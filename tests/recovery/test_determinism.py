@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.obs import Tracer, tracing, write_chrome_trace
-from repro.recovery.scenarios import run_recover_scenario
+from repro.obs.scenarios import run_scenario
 
 POP_PARAMS = dict(processes=8, steps=4)
 
@@ -21,7 +21,7 @@ def _run_twice(tmp_path, scenario_id, **params):
     paths = []
     lines = []
     for i in (0, 1):
-        tracer, line = run_recover_scenario(scenario_id, **params)
+        tracer, line = run_scenario(scenario_id, "recover", **params)
         path = tmp_path / f"{scenario_id}-{i}.json"
         write_chrome_trace(tracer, path)
         paths.append(path)
@@ -40,7 +40,7 @@ def test_pop_recovery_traces_are_byte_identical(tmp_path, scenario_id):
 
 
 def test_pop_shrink_emits_recovery_telemetry(tmp_path):
-    tracer, _line = run_recover_scenario("pop-shrink", **POP_PARAMS)
+    tracer, _line = run_scenario("pop-shrink", "recover", **POP_PARAMS)
     # Trace side: instant events in the dedicated "recovery" category.
     path = tmp_path / "telemetry.json"
     write_chrome_trace(tracer, path)

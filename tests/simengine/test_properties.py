@@ -6,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machines import BGP, XT4_QC
 from repro.simengine import Engine, SerialLink
-from repro.simmpi import attach_stats, Cluster
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:attach_stats\\(\\) is deprecated:DeprecationWarning"
-)
+from repro.simmpi import Cluster
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +87,13 @@ def test_random_exchange_schedules_complete(p, sizes, seed):
         return comm.now
 
     cluster = Cluster(BGP, ranks=p, mode="VN")
-    stats = attach_stats(cluster)
+    sent = []
+    cluster.transport.add_send_hook(
+        lambda _src, _dst, nbytes, _tag, _start, _end: sent.append(nbytes)
+    )
     res = cluster.run(program)
-    assert stats.messages == p * len(sizes)
-    assert stats.bytes_total == p * sum(sizes)
+    assert len(sent) == p * len(sizes)
+    assert sum(sent) == p * sum(sizes)
     assert all(t >= 0 for t in res.returns)
 
 

@@ -1,111 +1,76 @@
-"""Communication statistics / tracing tests.
+"""Communication statistics of a simulated run, read off the obs tracer.
 
-``attach_stats`` is deprecated in favour of the ``repro.obs`` tracer;
-this suite keeps it covered as a shim, so the warning is expected.
+Every send is one ``send`` span (``pid`` = source rank, ``args.dst``,
+``args.nbytes``) and bumps the ``mpi.messages`` / ``mpi.bytes``
+counters.
 """
 
-import pytest
-
 from repro.machines import BGP
-from repro.simmpi import attach_stats, Cluster
+from repro.obs import Tracer
+from repro.simmpi import Cluster
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:attach_stats\\(\\) is deprecated:DeprecationWarning"
-)
+
+def _ring(comm):
+    peer = (comm.rank + 1) % comm.size
+    prev = (comm.rank - 1) % comm.size
+    req = comm.irecv(src=prev, tag=1)
+    yield from comm.send(peer, nbytes=1024, tag=1)
+    yield from comm.wait(req)
+    yield from comm.send(peer, nbytes=0, tag=2)
+    yield from comm.recv(src=prev, tag=2)
 
 
 def _run_traffic(ranks=4):
-    cluster = Cluster(BGP, ranks=ranks, mode="VN")
-    stats = attach_stats(cluster)
+    return Cluster(BGP, ranks=ranks, mode="VN").run(_ring, trace=True).trace
 
-    def program(comm):
-        peer = (comm.rank + 1) % comm.size
-        prev = (comm.rank - 1) % comm.size
-        req = comm.irecv(src=prev, tag=1)
-        yield from comm.send(peer, nbytes=1024, tag=1)
-        yield from comm.wait(req)
-        yield from comm.send(peer, nbytes=0, tag=2)
-        yield from comm.recv(src=prev, tag=2)
 
-    cluster.run(program)
-    return stats
+def _counters(tracer):
+    return tracer.metrics.to_dict()["counters"]
+
+
+def _sends(tracer):
+    return [ev for ev in tracer.events if ev["name"] == "send"]
+
+
+def _pair_bytes(tracer):
+    pairs = {}
+    for ev in _sends(tracer):
+        pair = (ev["pid"], ev["args"]["dst"])
+        pairs[pair] = pairs.get(pair, 0) + ev["args"]["nbytes"]
+    return pairs
 
 
 def test_counts_and_volume():
-    stats = _run_traffic(4)
-    assert stats.messages == 8  # 4 ranks x 2 sends
-    assert stats.bytes_total == 4 * 1024
-
-
-def test_size_histogram_buckets():
-    stats = _run_traffic(4)
-    assert stats.size_histogram[10] == 4  # 1024 = 2^10
-    assert stats.size_histogram[-1] == 4  # zero-byte messages
+    counters = _counters(_run_traffic(4))
+    assert counters["mpi.messages"] == 8  # 4 ranks x 2 sends
+    assert counters["mpi.bytes"] == 4 * 1024
 
 
 def test_traffic_matrix():
-    stats = _run_traffic(4)
-    assert stats.traffic_matrix[(0, 1)] == 1024
-    sent, recv = stats.rank_volume(0)
+    pairs = _pair_bytes(_run_traffic(4))
+    assert pairs[(0, 1)] == 1024
+    sent = sum(v for (src, _dst), v in pairs.items() if src == 0)
+    recv = sum(v for (_src, dst), v in pairs.items() if dst == 0)
     assert sent == 1024 and recv == 1024
 
 
 def test_heaviest_pairs():
-    stats = _run_traffic(4)
-    pairs = stats.heaviest_pairs(2)
-    assert len(pairs) == 2
-    assert all(v == 1024 for _, v in pairs)
+    heaviest = sorted(_pair_bytes(_run_traffic(4)).values(), reverse=True)[:2]
+    assert heaviest == [1024, 1024]
 
 
 def test_trace_events_ordered_in_time():
-    stats = _run_traffic(4)
-    times = [e.time for e in stats.trace]
+    sends = _sends(_run_traffic(4))
+    times = [ev["ts"] for ev in sends]
     assert times == sorted(times)
-    assert stats.trace[0].nbytes in (0, 1024)
-
-
-def _capped_run(trace_limit=3):
-    cluster = Cluster(BGP, ranks=2, mode="VN")
-    stats = attach_stats(cluster, trace_limit=trace_limit)
-
-    def program(comm):
-        if comm.rank == 0:
-            for i in range(10):
-                yield from comm.send(1, nbytes=8, tag=i)
-        else:
-            for i in range(10):
-                yield from comm.recv(src=0, tag=i)
-
-    cluster.run(program)
-    return stats
-
-
-def test_trace_limit_respected():
-    stats = _capped_run(trace_limit=3)
-    assert stats.messages == 10  # stats keep counting
-    assert len(stats.trace) == 3  # trace capped
-
-
-def test_dropped_events_counted_and_surfaced():
-    stats = _capped_run(trace_limit=3)
-    assert stats.dropped == 7  # truncation is no longer silent
-    text = stats.summary()
-    assert "TRUNCATED" in text
-    assert "7 event(s) dropped" in text
-
-
-def test_uncapped_run_reports_no_truncation():
-    stats = _run_traffic(4)
-    assert stats.dropped == 0
-    assert "TRUNCATED" not in stats.summary()
+    assert sends[0]["args"]["nbytes"] in (0, 1024)
 
 
 def test_attach_is_idempotent():
     cluster = Cluster(BGP, ranks=2, mode="VN")
-    first = attach_stats(cluster, trace_limit=5)
-    second = attach_stats(cluster, trace_limit=99)
-    assert second is first
-    assert second.trace_limit == 5  # later limit ignored
+    tracer = Tracer()
+    tracer.attach(cluster)
+    tracer.attach(cluster)
     assert len(cluster.transport._send_hooks) == 1
 
     def program(comm):
@@ -115,23 +80,9 @@ def test_attach_is_idempotent():
             yield from comm.recv(src=0)
 
     cluster.run(program)
-    assert first.messages == 1  # recorded once, not twice
-
-
-@pytest.mark.filterwarnings("error::DeprecationWarning")
-def test_attach_warns_deprecation():
-    cluster = Cluster(BGP, ranks=2, mode="VN")
-    with pytest.warns(DeprecationWarning, match="repro.obs"):
-        attach_stats(cluster)
-
-
-def test_summary_renders():
-    stats = _run_traffic(4)
-    text = stats.summary()
-    assert "messages: 8" in text
-    assert "2^10" in text
+    assert _counters(tracer)["mpi.messages"] == 1  # recorded once, not twice
 
 
 def test_mean_message_bytes():
-    stats = _run_traffic(4)
-    assert stats.mean_message_bytes() == pytest.approx(512.0)
+    counters = _counters(_run_traffic(4))
+    assert counters["mpi.bytes"] / counters["mpi.messages"] == 512.0

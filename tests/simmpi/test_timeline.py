@@ -1,127 +1,81 @@
-"""Per-rank timeline recording tests."""
+"""Per-rank compute and send spans of a simulated run, read off the
+obs tracer (``pid`` = rank, ``dur`` in microseconds)."""
 
 import pytest
 
 from repro.machines import BGP
-from repro.simmpi import attach_timeline, Cluster, Timeline
+from repro.obs import Tracer
+from repro.simmpi import Cluster
 
 
 def _staggered_run(ranks=4):
-    cluster = Cluster(BGP, ranks=ranks, mode="VN")
-    tl = attach_timeline(cluster)
-
     def program(comm):
         yield from comm.compute(seconds=0.001 * (comm.rank + 1))
         yield from comm.barrier()
 
+    return Cluster(BGP, ranks=ranks, mode="VN").run(program, trace=True)
+
+
+def _spans(tracer, name):
+    return [ev for ev in tracer.events if ev["name"] == name]
+
+
+def _compute_seconds(result):
+    busy = {}
+    for ev in _spans(result.trace, "compute"):
+        busy[ev["pid"]] = busy.get(ev["pid"], 0.0) + ev["dur"] * 1e-6
+    return busy
+
+
+def _one_send(cluster):
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.send(1, nbytes=1024)
+        else:
+            yield from comm.recv(src=0)
+
     cluster.run(program)
-    return tl
 
 
 def test_compute_intervals_recorded():
-    tl = _staggered_run()
-    computes = [i for i in tl.intervals if i.kind == "compute"]
+    computes = _spans(_staggered_run().trace, "compute")
     assert len(computes) == 4
-    assert {i.rank for i in computes} == {0, 1, 2, 3}
+    assert {ev["pid"] for ev in computes} == {0, 1, 2, 3}
 
 
 def test_busy_seconds_match_work():
-    tl = _staggered_run()
-    assert tl.busy_seconds(0, "compute") == pytest.approx(0.001)
-    assert tl.busy_seconds(3, "compute") == pytest.approx(0.004)
+    busy = _compute_seconds(_staggered_run())
+    assert busy[0] == pytest.approx(0.001)
+    assert busy[3] == pytest.approx(0.004)
 
 
 def test_critical_rank_is_slowest():
-    assert _staggered_run().critical_rank() == 3
+    busy = _compute_seconds(_staggered_run())
+    assert max(busy, key=busy.get) == 3
 
 
 def test_busy_fraction_reflects_imbalance():
-    tl = _staggered_run()
-    assert tl.busy_fraction(3) > tl.busy_fraction(0)
-    assert tl.busy_fraction(3) == pytest.approx(1.0, abs=0.05)
+    result = _staggered_run()
+    busy = _compute_seconds(result)
+    assert busy[3] > busy[0]
+    assert busy[3] / result.elapsed == pytest.approx(1.0, abs=0.05)
 
 
 def test_send_intervals_recorded():
     cluster = Cluster(BGP, ranks=2, mode="SMP")
-    tl = attach_timeline(cluster)
-
-    def program(comm):
-        if comm.rank == 0:
-            yield from comm.send(1, nbytes=1024)
-        else:
-            yield from comm.recv(src=0)
-
-    cluster.run(program)
-    sends = [i for i in tl.intervals if i.kind == "send"]
+    tracer = Tracer().attach(cluster)
+    _one_send(cluster)
+    sends = _spans(tracer, "send")
     assert len(sends) == 1
-    assert sends[0].rank == 0
-    assert sends[0].duration > 0
-
-
-def test_gantt_renders_rows():
-    text = _staggered_run().gantt(width=30)
-    lines = text.splitlines()
-    assert len(lines) == 4
-    assert all("|" in ln for ln in lines)
-    # Rank 3 computes the longest stretch of '#'.
-    assert lines[3].count("#") > lines[0].count("#")
-
-
-def test_empty_timeline():
-    tl = Timeline()
-    assert tl.span() == (0.0, 0.0)
-    assert tl.gantt() == "(empty timeline)"
-    with pytest.raises(ValueError):
-        tl.critical_rank()
-
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        Timeline().record(0, 5.0, 1.0, "compute")
-
-
-def test_overlapping_intervals_merged_not_double_counted():
-    """Regression: a rank busy in two overlapping records at once
-    (isend injection running alongside compute) must not count the
-    overlap twice in busy_seconds."""
-    tl = Timeline()
-    tl.record(0, 0.0, 1.0, "compute")
-    tl.record(0, 0.5, 1.5, "send")  # overlaps [0.5, 1.0)
-    tl.record(0, 2.0, 3.0, "compute")
-    assert tl.busy_seconds(0) == pytest.approx(2.5)  # not 3.0
-    assert tl.merged(0) == [(0.0, 1.5), (2.0, 3.0)]
-
-
-def test_merged_handles_contained_and_touching_intervals():
-    tl = Timeline()
-    tl.record(1, 0.0, 4.0, "compute")
-    tl.record(1, 1.0, 2.0, "send")  # fully contained
-    tl.record(1, 4.0, 5.0, "send")  # touching end-to-start
-    assert tl.merged(1) == [(0.0, 5.0)]
-    assert tl.busy_seconds(1) == pytest.approx(5.0)
-
-
-def test_merged_filters_by_kind():
-    tl = Timeline()
-    tl.record(0, 0.0, 1.0, "compute")
-    tl.record(0, 0.5, 1.5, "send")
-    assert tl.busy_seconds(0, "compute") == pytest.approx(1.0)
-    assert tl.busy_seconds(0, "send") == pytest.approx(1.0)
+    assert sends[0]["pid"] == 0
+    assert sends[0]["dur"] > 0
 
 
 def test_attach_timeline_is_idempotent():
     cluster = Cluster(BGP, ranks=2, mode="SMP")
-    first = attach_timeline(cluster)
-    second = attach_timeline(cluster)
-    assert second is first
+    tracer = Tracer()
+    tracer.attach(cluster)
+    tracer.attach(cluster)
     assert len(cluster.transport._send_hooks) == 1
-
-    def program(comm):
-        if comm.rank == 0:
-            yield from comm.send(1, nbytes=1024)
-        else:
-            yield from comm.recv(src=0)
-
-    cluster.run(program)
-    sends = [i for i in first.intervals if i.kind == "send"]
-    assert len(sends) == 1  # recorded once, not twice
+    _one_send(cluster)
+    assert len(_spans(tracer, "send")) == 1  # recorded once, not twice
