@@ -23,7 +23,9 @@ deadlines, seeded exponential backoff, automatic pool rebuild after a
 worker death, poison-job quarantine, crash-consistent recovery of torn
 cache/journal/manifest writes, and graceful degradation to analytic
 fallback params — and all of it is testable under deterministic fault
-injection via :mod:`repro.chaos`.
+injection via :mod:`repro.chaos`.  The durable writes live in
+:mod:`repro.campaign.ledger` and the worker deaths and hangs in
+:mod:`repro.campaign.pool`; the ``repro serve`` service runs on both.
 
 See ``docs/campaigns.md`` for the spec format, cache-key semantics,
 the resume/retry model, and failure handling.
@@ -44,9 +46,9 @@ from .manifest import (
     write_manifest,
 )
 from .policy import ACTIONS, FailurePolicy
-from .pool import BROKEN_POOL_NAMES, fresh_pool, is_broken_pool, teardown_pool
+from .pool import pool_map
 from .retry import MAX_BACKOFF_EXPONENT, backoff_delay, backoff_sequence
-from .runner import CAMPAIGN_PID, CampaignResult, CampaignRunner, pool_map
+from .runner import CAMPAIGN_PID, CampaignResult, CampaignRunner
 from .spec import CampaignSpec, Job, SpecError, canonical_params, params_digest
 from .worker import (
     DETERMINISTIC,
@@ -62,7 +64,6 @@ from .worker import (
 
 __all__ = [
     "ACTIONS",
-    "BROKEN_POOL_NAMES",
     "CAMPAIGN_FILE",
     "CAMPAIGN_PID",
     "CampaignResult",
@@ -90,8 +91,6 @@ __all__ = [
     "classify_failure",
     "code_fingerprint",
     "execute_job",
-    "fresh_pool",
-    "is_broken_pool",
     "job_seed",
     "load_campaign_file",
     "load_manifest",
@@ -100,7 +99,6 @@ __all__ = [
     "pool_map",
     "read_journal",
     "rebuild_manifest_doc",
-    "teardown_pool",
     "text_digest",
     "write_manifest",
 ]

@@ -26,7 +26,14 @@ from typing import Any, Dict, Optional, Union
 
 from .spec import canonical_params
 
-__all__ = ["ResultCache", "artifact_text", "cache_key", "code_fingerprint", "text_digest"]
+__all__ = [
+    "ResultCache",
+    "artifact_text",
+    "atomic_write",
+    "cache_key",
+    "code_fingerprint",
+    "text_digest",
+]
 
 
 def artifact_text(text: str) -> str:
@@ -41,6 +48,21 @@ def artifact_text(text: str) -> str:
 def text_digest(text: str) -> str:
     """sha256 of the artifact text (digest of what lands on disk)."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def atomic_write(path: pathlib.Path, text: str) -> pathlib.Path:
+    """temp + ``os.replace``: readers see the old file or the new one,
+    never a torn hybrid (modulo filesystem-level tearing, which the
+    torn-tolerant readers and the journal rebuild cover).
+
+    The one replace every campaign-directory write goes through: cache
+    entries, artifacts, ``campaign.json``, ``manifest.json`` and
+    ``server.json``.
+    """
+    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+    return path
 
 
 @lru_cache(maxsize=None)
@@ -119,15 +141,13 @@ class ResultCache:
         return text
 
     def put(self, key: str, text: str, meta: Optional[Dict[str, Any]] = None) -> None:
-        """Store atomically (tmp file + ``os.replace``)."""
+        """Store atomically (:func:`atomic_write`)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         doc = dict(meta or {})
         doc["digest"] = text_digest(text)
         doc["text"] = text
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(doc, sort_keys=True))
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

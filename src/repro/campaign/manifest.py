@@ -20,12 +20,12 @@ Three files, three roles:
   the pieces of unchanged records re-encodes only the ones that moved.
 
 Crash consistency: the campaign file and manifest are written via
-temp-file + ``os.replace`` (a kill mid-rewrite leaves the previous
-version, never a torn one); journal appends self-heal a torn tail
-(a record that died mid-write is newline-terminated before the next
-append, so exactly the torn record is lost and nothing else); and a
-manifest that *is* torn — hard kill, filesystem tear, injected chaos —
-is recoverable by rebuilding from the journal
+:func:`~repro.campaign.cache.atomic_write` (a kill mid-rewrite leaves
+the previous version, never a torn one); journal appends self-heal a
+torn tail (a record that died mid-write is newline-terminated before
+the next append, so exactly the torn record is lost and nothing
+else); and a manifest that *is* torn — hard kill, filesystem tear,
+injected chaos — is recoverable by rebuilding from the journal
 (:func:`rebuild_manifest_doc`) instead of dying on ``JSONDecodeError``.
 """
 
@@ -38,6 +38,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
+from .cache import atomic_write
 from .spec import CampaignSpec, Job
 
 __all__ = [
@@ -142,16 +143,6 @@ class JobRecord:
         return cls(**{k: v for k, v in doc.items() if k in names})
 
 
-def _atomic_write_text(path: pathlib.Path, text: str) -> pathlib.Path:
-    """temp + ``os.replace``: readers see the old file or the new one,
-    never a torn hybrid (modulo filesystem-level tearing, which the
-    torn-tolerant readers and the journal rebuild cover)."""
-    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # journal.jsonl
 # ---------------------------------------------------------------------------
@@ -217,9 +208,7 @@ def write_campaign_file(
             for j in jobs
         ],
     }
-    _atomic_write_text(
-        pathlib.Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write(pathlib.Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_campaign_file(path: Union[str, pathlib.Path]) -> Optional[Dict[str, Any]]:
@@ -282,7 +271,7 @@ def write_manifest(
     text = manifest_text(
         [record_text(r) for r in records], name=name, code_fingerprint=code_fingerprint
     )
-    return _atomic_write_text(pathlib.Path(path), text)
+    return atomic_write(pathlib.Path(path), text)
 
 
 def load_manifest(path: Union[str, pathlib.Path]) -> Optional[Dict[str, Any]]:

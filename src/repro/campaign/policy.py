@@ -10,7 +10,11 @@ quarantined by the campaign server too, or the chaos drills prove two
 different systems.  :class:`FailurePolicy` is that single answer: a
 frozen, picklable value object whose :meth:`decide` is a pure function
 of the failure classification and the job's bookkeeping, and whose
-:meth:`delay` is the seeded backoff both dispatchers record.
+:meth:`delay` is the seeded backoff both dispatchers record.  The
+other pieces both front doors share are the
+:class:`~repro.campaign.ledger.Ledger` (every durable write) and the
+:class:`~repro.campaign.pool.PoolSupervisor` (worker deaths, hangs and
+pool rebuilds); the policy only decides, and each front door enacts.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ ACTIONS = ("retry", "quarantine", "degrade", "final")
 class FailurePolicy:
     """How many chances a job gets, and how long it waits between them.
 
-    Parameters mirror the historical :class:`CampaignRunner` knobs:
     ``retries`` extra attempts for retryable classifications,
     ``backoff_base``/``backoff_cap`` for the seeded exponential delay,
     ``quarantine_after`` worker kills before a job is poison, and
-    ``seed`` for the deterministic jitter.
+    ``seed`` for the deterministic jitter.  Both front doors expose
+    ``retries``, ``backoff_base`` and ``quarantine_after``; the cap and
+    the seed keep their defaults.
     """
 
     retries: int = 1

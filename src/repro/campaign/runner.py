@@ -8,8 +8,8 @@ A campaign pass has two phases:
    rerun is 100% cache hits and leaves every artifact untouched.
 2. **Compute pass**: the misses are farmed out — inline for
    ``jobs == 1`` (keeps monkeypatched registries and ambient tracers
-   visible, which the tests rely on), or to a
-   :class:`~concurrent.futures.ProcessPoolExecutor` for ``jobs > 1``.
+   visible, which the tests rely on), or to the worker pool for
+   ``jobs > 1``.
    Each finished job's artifact + cache entry is written *as it
    completes*, and its record is journaled then too — unless the job's
    last record in the journal is already that exact record (an all-hit
@@ -17,21 +17,21 @@ A campaign pass has two phases:
    loses at most the jobs in flight; the next pass cache-hits
    everything already done and computes only the remainder.
 
-The compute pass is hardened against the host failing under it:
+Every durable write — artifact, cache entry, journal record, manifest —
+goes through the :class:`~repro.campaign.ledger.Ledger`, and pool mode
+runs on the :class:`~repro.campaign.pool.PoolSupervisor`; the campaign
+service shares both.  The compute pass is hardened against the host
+failing under it:
 
-* **Watchdog deadlines** — a job that outlives ``deadline_s`` (plus a
-  grace period in pool mode) is cancelled, classified ``"timeout"``,
-  and requeued with backoff; the stuck worker is killed and the pool
-  rebuilt.
+* **Watchdog and pool rebuild** — a job that outlives ``deadline_s``
+  times out and is requeued with backoff; in pool mode a worker stuck
+  past the deadline plus a grace period, or one that dies, is charged
+  to its job, and the bystanders of the pool rebuild resubmit without
+  consuming an attempt.
 * **Seeded backoff** — retries wait ``backoff_delay(job, attempt,
   seed)`` host seconds: exponential with deterministic jitter, so the
   delay sequence is byte-identical across ``--jobs 1`` and ``--jobs N``
   and lands in the manifest (``backoff_s``).
-* **Pool rebuild** — a worker death breaks every in-flight future
-  (:class:`BrokenProcessPool`); the runner attributes the kill, tears
-  the broken pool down, builds a fresh one, requeues the victim with
-  backoff, and resubmits the innocent bystanders without consuming
-  their attempts.
 * **Quarantine** — a job that kills ``quarantine_after`` workers is
   poison: recorded ``"quarantined"`` in the manifest and skipped on
   resume (a later cache hit, e.g. after a fix, wins over quarantine).
@@ -54,52 +54,29 @@ kills, hangs, torn/ioerr writes — while counting every firing
 from __future__ import annotations
 
 import heapq
-import os
 import pathlib
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..chaos import (
-    ChaosInjector,
-    ChaosPlan,
-    ChaosSpec,
-    torn_cache_put,
-    torn_journal_append,
-    torn_text_write,
-)
+from ..chaos import ChaosInjector, ChaosPlan, ChaosSpec
 from ..perf.hostclock import HostClock, host_sleep
-from .cache import ResultCache, artifact_text, cache_key, code_fingerprint, text_digest
-from .policy import FailurePolicy
-from .pool import fresh_pool, is_broken_pool, teardown_pool
+from .cache import ResultCache, cache_key, code_fingerprint
+from .ledger import Ledger
 from .manifest import (
     CAMPAIGN_FILE,
     JOURNAL_FILE,
-    MANIFEST_FILE,
     JobRecord,
-    append_journal,
-    manifest_text,
     read_journal,
-    record_text,
     write_campaign_file,
     write_manifest,
 )
+from .policy import FailurePolicy
+from .pool import PoolSupervisor
 from .spec import CampaignSpec, Job
-from .worker import JobOutcome, classify_failure, execute_job
+from .worker import JobOutcome, execute_job
 
-__all__ = ["CampaignResult", "CampaignRunner", "CAMPAIGN_PID", "pool_map"]
+__all__ = ["CampaignResult", "CampaignRunner", "CAMPAIGN_PID"]
 
 #: Synthetic Chrome-trace pid hosting the campaign track (one tid per
 #: worker slot), alongside repro.obs's engine/network pids.
@@ -193,16 +170,6 @@ class _JobState:
     backoff: List[float] = field(default_factory=list)
 
 
-@dataclass
-class _Flight:
-    """One in-flight pool submission."""
-
-    job: Job
-    state: _JobState
-    slot: int
-    start: float
-
-
 class CampaignRunner:
     """Run a :class:`CampaignSpec` against a campaign directory.
 
@@ -235,8 +202,8 @@ class CampaignRunner:
         Pool-mode slack on top of ``deadline_s`` before the watchdog
         tears the worker down (cooperative timeouts report themselves
         at the deadline; the grace only matters for truly stuck jobs).
-    backoff_base / backoff_cap:
-        Seeded exponential backoff parameters (host seconds); see
+    backoff_base:
+        Base of the seeded exponential backoff (host seconds); see
         :func:`~repro.campaign.retry.backoff_delay`.
     quarantine_after:
         Workers a single job may kill before it is quarantined as
@@ -245,9 +212,6 @@ class CampaignRunner:
         Optional :class:`~repro.chaos.ChaosSpec` (compiled against the
         job list at run time) or pre-compiled
         :class:`~repro.chaos.ChaosPlan` of host faults to inject.
-    retry_seed:
-        Seed for the backoff jitter (deterministic; recorded delays are
-        a pure function of job id, attempt, and this seed).
     """
 
     def __init__(
@@ -261,10 +225,8 @@ class CampaignRunner:
         deadline_s: Optional[float] = None,
         deadline_grace: float = 2.0,
         backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         quarantine_after: int = 2,
         chaos: Optional[Union[ChaosSpec, ChaosPlan]] = None,
-        retry_seed: int = 0,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -273,34 +235,22 @@ class CampaignRunner:
         if deadline_grace < 0:
             raise ValueError("deadline_grace must be >= 0")
         self.policy = FailurePolicy(
-            retries=retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            quarantine_after=quarantine_after,
-            seed=retry_seed,
+            retries=retries, backoff_base=backoff_base, quarantine_after=quarantine_after
         )
         self.policy.validate()
         self.spec = spec
         self.directory = pathlib.Path(directory)
         self.jobs = jobs
-        self.retries = retries
         self.cache = ResultCache(cache_dir or self.directory / ".cache")
         self.tracer = tracer
         self.deadline_s = deadline_s
         self.deadline_grace = deadline_grace
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.quarantine_after = quarantine_after
         self.chaos = chaos
-        self.retry_seed = retry_seed
         self._clock: Optional[HostClock] = None
         self._running = 0
-        self._plan: Optional[ChaosPlan] = None
         self._injector: Optional[ChaosInjector] = None
         self._fingerprint = ""
-        #: last durable journal record per job: read at the start of a
-        #: pass, then updated by every append that lands
-        self._journaled: Dict[str, JobRecord] = {}
+        self.ledger = Ledger(self.directory, self.cache, self._count, self._note_chaos_event)
 
     # -- obs hooks (all no-ops when untraced) -------------------------------
     def _now(self) -> float:
@@ -392,105 +342,6 @@ class CampaignRunner:
             return "chaos: disabled"
         return self._injector.report()
 
-    # -- artifacts ----------------------------------------------------------
-    def _artifact_path(self, job: Job) -> pathlib.Path:
-        return self.directory / job.artifact_name
-
-    def _ensure_artifact(self, job: Job, text: str) -> Tuple[str, bool]:
-        """Write the artifact unless it already holds these exact bytes.
-
-        Returns ``(digest, wrote)``; the no-touch path is what makes an
-        all-hits rerun leave every file (content *and* mtime) alone.
-        """
-        payload = artifact_text(text)
-        digest = text_digest(payload)
-        path = self._artifact_path(job)
-        try:
-            if path.read_text(encoding="utf-8") == payload:
-                return digest, False
-        except (OSError, UnicodeDecodeError):
-            pass
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
-        return digest, True
-
-    # -- guarded durable writes ---------------------------------------------
-    # All three absorb OSError: a campaign must survive its own disk
-    # hiccoughs.  Journal/cache losses are recoverable by design (the
-    # manifest still records the job; a lost cache entry recomputes),
-    # and the chaos injector exercises exactly these paths.
-    def _cache_put(self, job: Job, key: str, text: str) -> None:
-        meta = {"experiment": job.experiment, "params": job.params}
-        event = (
-            self._injector.write_fault("cache", job.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_event(event)
-                if event.kind == "torn":
-                    torn_cache_put(self.cache, key, text, meta=meta)
-                    return
-                raise OSError(5, "chaos: injected cache I/O error")
-            self.cache.put(key, text, meta=meta)
-        except OSError:
-            self._count("write_errors")
-
-    def _journal_append(self, record: JobRecord) -> None:
-        """Append ``record`` unless it equals the job's last durable
-        record — the last record per job wins, so repeating it would
-        change nothing.  A skip touches no file, so no chaos write
-        fault can fire on it; it is counted as ``journal_unchanged``."""
-        if self._journaled.get(record.job_id) == record:
-            self._count("journal_unchanged")
-            return
-        path = self.directory / JOURNAL_FILE
-        event = (
-            self._injector.write_fault("journal", record.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_event(event)
-                if event.kind == "torn":
-                    torn_journal_append(path, record)
-                    return
-                raise OSError(5, "chaos: injected journal I/O error")
-            append_journal(path, record)
-        except OSError:
-            self._count("write_errors")
-            return
-        self._journaled[record.job_id] = record
-
-    def _write_manifest(self, ordered: List[JobRecord]) -> None:
-        path = self.directory / MANIFEST_FILE
-        event = (
-            self._injector.write_fault("manifest", "")
-            if self._injector is not None
-            else None
-        )
-        if event is not None:
-            self._note_chaos_event(event)
-            if event.kind == "torn":
-                text = manifest_text(
-                    [record_text(r) for r in ordered],
-                    name=self.spec.name,
-                    code_fingerprint=self._fingerprint,
-                )
-                torn_text_write(path, text)
-                return
-            self._count("write_errors")
-            return
-        try:
-            write_manifest(
-                path, ordered, name=self.spec.name, code_fingerprint=self._fingerprint
-            )
-        except OSError:
-            self._count("write_errors")
-
     # -- bookkeeping --------------------------------------------------------
     def _record(
         self,
@@ -509,7 +360,7 @@ class CampaignRunner:
             status = "done" if outcome.ok else "failed"
         backoff = list(backoff or [])
         if status in ("done", "degraded"):
-            digest, wrote = self._ensure_artifact(job, outcome.text)
+            digest, wrote = self.ledger.artifact(job.artifact_name, outcome.text)
             if wrote:
                 result.artifacts_written += 1
             record = JobRecord(
@@ -542,7 +393,7 @@ class CampaignRunner:
             if status == "failed":
                 self._count("failures")
         records[job.job_id] = record
-        self._journal_append(record)
+        self.ledger.append(record)
         return record
 
     # -- the pass -----------------------------------------------------------
@@ -562,18 +413,17 @@ class CampaignRunner:
         self.directory.mkdir(parents=True, exist_ok=True)
         if fresh:
             (self.directory / JOURNAL_FILE).unlink(missing_ok=True)
-        prior = self._journaled = read_journal(self.directory / JOURNAL_FILE)
+        prior = self.ledger.journaled = read_journal(self.directory / JOURNAL_FILE)
         write_campaign_file(self.directory / CAMPAIGN_FILE, self.spec, jobs)
         self._trace_setup()
 
-        if self.chaos is None:
-            self._plan, self._injector = None, None
-        else:
+        self._injector = None
+        if self.chaos is not None:
             plan = self.chaos
             if not isinstance(plan, ChaosPlan):
                 plan = plan.compile([j.job_id for j in jobs])
-            self._plan = plan
             self._injector = ChaosInjector(plan)
+        self.ledger.injector = self._injector
 
         fingerprint = self._fingerprint = code_fingerprint()
         result = CampaignResult()
@@ -634,23 +484,16 @@ class CampaignRunner:
                 )
             ordered.append(record)
         result.records = ordered
-        self._write_manifest(ordered)
+        self.ledger.write_manifest(
+            lambda path: write_manifest(
+                path, ordered, name=self.spec.name, code_fingerprint=fingerprint
+            )
+        )
         if self._injector is not None:
             result.chaos_fired = self._injector.fired_keys()
         return result
 
     # -- failure policy -----------------------------------------------------
-    def _resolve_failure(self, job: Job, state: _JobState, outcome: JobOutcome) -> str:
-        """What to do with a failed execution: retry / quarantine /
-        degrade / final.  Pure decision (shared with the campaign
-        service via :class:`FailurePolicy`) — the backends enact it."""
-        return self.policy.decide(
-            outcome.classification,
-            state.attempts,
-            kills=state.kills,
-            has_fallback=job.fallback is not None,
-        )
-
     def _settle(
         self,
         result: CampaignResult,
@@ -674,7 +517,11 @@ class CampaignRunner:
             result.crashes += 1
             self._count("crashes")
             state.kills += 1
-        action = self._resolve_failure(job, state, outcome)
+        # The shared FailurePolicy decides (the service asks it too);
+        # this runner enacts.
+        action = self.policy.decide(
+            cls, state.attempts, kills=state.kills, has_fallback=job.fallback is not None
+        )
         if action == "retry":
             delay_s = self.policy.delay(job.job_id, state.attempts)
             state.backoff.append(delay_s)
@@ -729,7 +576,7 @@ class CampaignRunner:
                 )
                 return
             text = outcome.text
-            self._cache_put(job, key, text)
+            self.ledger.put_cache(job, key, text)
         self._count("degraded")
         self._record(
             result, records, job, JobOutcome(job.job_id, True, text),
@@ -746,7 +593,7 @@ class CampaignRunner:
         outcome: JobOutcome,
         state: _JobState,
     ) -> None:
-        self._cache_put(job, keys[job.job_id], outcome.text)
+        self.ledger.put_cache(job, keys[job.job_id], outcome.text)
         result.executed.append(job.job_id)
         self._count("executed")
         self._record(
@@ -771,7 +618,7 @@ class CampaignRunner:
                     job.job_id,
                     job.experiment,
                     job.params,
-                    chaos=self._plan,
+                    chaos=self._injector.plan if self._injector is not None else None,
                     attempt=state.attempts + 1,
                     deadline_s=self.deadline_s,
                     in_worker=False,
@@ -788,10 +635,6 @@ class CampaignRunner:
                     break
                 host_sleep(queued[0])
 
-    def _fresh_pool(self, pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
-        """Hard teardown + rebuild (see :mod:`repro.campaign.pool`)."""
-        return fresh_pool(pool, self.jobs)
-
     def _compute_pool(
         self,
         result: CampaignResult,
@@ -806,209 +649,49 @@ class CampaignRunner:
         )
         delayed: List[Tuple[float, int, Job, _JobState]] = []  # (due, seq, ...)
         seq = 0
-        slots = list(range(self.jobs))
-        in_flight: Dict[Any, _Flight] = {}
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        pool = PoolSupervisor(
+            self.jobs, self.deadline_s, self.deadline_grace,
+            now=self._now, count=self._count, note=self._note_chaos_event,
+        )
+        pool.injector = self._injector
 
         def schedule_retry(job: Job, state: _JobState, delay_s: float) -> None:
             nonlocal seq
             seq += 1
             heapq.heappush(delayed, (self._now() + delay_s, seq, job, state))
 
-        def rebuild(casualties: List[_Flight], reason: str) -> None:
-            """Casualty triage + fresh pool.  ``casualties`` no longer
-            appear in ``in_flight``; victims consume their attempt and
-            go through the normal failure policy, innocents requeue
-            untouched."""
-            nonlocal pool, slots
-            result.pool_rebuilds += 1
-            self._count("pool_rebuilds")
-            victims: List[_Flight] = []
-            innocents: List[_Flight] = []
-            if reason == "broken" and self._injector is not None:
-                # Attribute the death: an unfired kill injection aimed
-                # at an in-flight (job, attempt) is the killer.
-                for flight in casualties:
-                    event = self._injector.kill_event(
-                        flight.job.job_id, flight.state.attempts + 1
-                    )
-                    if event is not None:
-                        self._injector.fire(event)
-                        self._note_chaos_event(event)
-                        victims.append(flight)
-                    else:
-                        innocents.append(flight)
-            if not victims:
-                # No chaos to blame (or chaos off): every in-flight job
-                # is a suspect — each wears the crash on its record.
-                victims, innocents = casualties, []
-            for flight in victims:
-                if reason == "stuck":
-                    deadline = self.deadline_s or 0.0
-                    outcome = JobOutcome(
-                        job_id=flight.job.job_id,
-                        ok=False,
-                        error=(
-                            f"job exceeded its {deadline:g}s deadline "
-                            f"(+{self.deadline_grace:g}s grace); worker killed"
-                        ),
-                        error_type="JobTimeoutError",
-                        classification="timeout",
-                    )
-                else:
-                    outcome = JobOutcome(
-                        job_id=flight.job.job_id,
-                        ok=False,
-                        error="worker process died mid-job (pool broken)",
-                        error_type="WorkerKilledError",
-                        classification="crash",
-                    )
-                self._trace_job(
-                    flight.job, flight.slot, flight.start, outcome,
-                    flight.state.attempts + 1,
-                )
-                self._settle(
-                    result, records, keys, flight.job, flight.state, outcome,
-                    schedule_retry,
-                )
-            for flight in innocents:
-                # The pool death wasn't theirs: resubmit without
-                # consuming an attempt or charging a kill.
-                ready.append((flight.job, flight.state))
-            pool = self._fresh_pool(pool)
-            slots = list(range(self.jobs))
-
+        pool.start()
         try:
-            while ready or delayed or in_flight:
+            while ready or delayed or pool.flights:
                 now = self._now()
                 while delayed and delayed[0][0] <= now:
                     _, _, job, state = heapq.heappop(delayed)
                     ready.append((job, state))
-                while ready and len(in_flight) < self.jobs:
+                while ready and len(pool.flights) < self.jobs:
                     job, state = ready.popleft()
-                    slot = slots.pop(0) if slots else 0
-                    start = self._now()
                     self._mark_running(+1)
-                    try:
-                        fut = pool.submit(
-                            execute_job,
-                            job.job_id,
-                            job.experiment,
-                            job.params,
-                            self._plan,
-                            state.attempts + 1,
-                            self.deadline_s,
-                            True,
-                        )
-                    except Exception:  # pool died between batches
-                        self._mark_running(-1)
-                        ready.appendleft((job, state))
-                        casualties = [in_flight.pop(f) for f in list(in_flight)]
-                        for flight in casualties:
-                            self._mark_running(-1)
-                        rebuild(casualties, reason="broken")
-                        break
-                    in_flight[fut] = _Flight(job, state, slot, start)
-                if not in_flight:
-                    if delayed:
-                        host_sleep(
-                            min(_POLL_S, max(0.0, delayed[0][0] - self._now()))
-                        )
-                        continue
-                    if ready:
-                        continue
-                    break
+                    pool.submit(
+                        job.job_id, job.experiment, job.params, state.attempts + 1,
+                        pool.free_slot(), (job, state),
+                    )
+                if not pool.flights:  # only delayed retries remain
+                    host_sleep(min(_POLL_S, max(0.0, delayed[0][0] - self._now())))
+                    continue
                 # Block until something finishes — but wake on a poll
                 # interval whenever a deadline could expire or a delayed
                 # retry could come due.
                 block = self.deadline_s is None and not delayed
-                finished, _ = wait(
-                    list(in_flight),
-                    timeout=None if block else _POLL_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                broken: List[_Flight] = []
-                for fut in finished:
-                    flight = in_flight.pop(fut)
+                for flight, outcome in pool.reap(None if block else _POLL_S):
                     self._mark_running(-1)
-                    slots.insert(0, flight.slot)
-                    try:
-                        outcome = fut.result()
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as exc:  # noqa: BLE001
-                        if is_broken_pool(exc):
-                            broken.append(flight)
-                            continue
-                        outcome = JobOutcome(
-                            job_id=flight.job.job_id,
-                            ok=False,
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                            classification=classify_failure(exc),
-                        )
+                    job, state = flight.ticket
+                    if outcome is None:
+                        # The pool death wasn't theirs: resubmit without
+                        # consuming an attempt or charging a kill.
+                        ready.append((job, state))
+                        continue
                     self._note_chaos_keys(outcome.chaos)
-                    self._trace_job(
-                        flight.job, flight.slot, flight.start, outcome,
-                        flight.state.attempts + 1,
-                    )
-                    self._settle(
-                        result, records, keys, flight.job, flight.state, outcome,
-                        schedule_retry,
-                    )
-                if broken:
-                    # A broken executor poisons every remaining future.
-                    for fut in list(in_flight):
-                        broken.append(in_flight.pop(fut))
-                        self._mark_running(-1)
-                    rebuild(broken, reason="broken")
-                    continue
-                # Watchdog: kill workers stuck past deadline + grace.
-                if self.deadline_s is not None and in_flight:
-                    limit = self.deadline_s + self.deadline_grace
-                    now = self._now()
-                    stuck = [
-                        fut
-                        for fut, flight in in_flight.items()
-                        if now - flight.start > limit
-                    ]
-                    if stuck:
-                        casualties = [in_flight.pop(fut) for fut in stuck]
-                        for flight in casualties:
-                            self._mark_running(-1)
-                            if self._injector is not None:
-                                event = self._injector.hang_event(
-                                    flight.job.job_id, flight.state.attempts + 1
-                                )
-                                if event is not None:
-                                    self._injector.fire(event)
-                                    self._note_chaos_event(event)
-                        survivors = [in_flight.pop(fut) for fut in list(in_flight)]
-                        for flight in survivors:
-                            self._mark_running(-1)
-                            ready.append((flight.job, flight.state))
-                        rebuild(casualties, reason="stuck")
+                    self._trace_job(job, flight.slot, flight.start, outcome, flight.attempt)
+                    self._settle(result, records, keys, job, state, outcome, schedule_retry)
         finally:
-            teardown_pool(pool)
-
-
-@contextmanager
-def pool_map(
-    jobs: int,
-) -> Iterator[Callable[[Callable[[Any], Any], Iterable[Any]], Iterable[Any]]]:
-    """A ``map``-shaped executor over the campaign worker pool.
-
-    The hook :meth:`repro.core.Sweep.run` takes::
-
-        from repro.campaign import pool_map
-        with pool_map(jobs=4) as ex:
-            points = Sweep(axes).run(model_fn, executor=ex)
-
-    ``jobs <= 1`` degrades to plain ``map`` (no processes, monkeypatch-
-    friendly); results always come back in input order.
-    """
-    if jobs <= 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool.map
+            pool.close()
+            result.pool_rebuilds += pool.rebuilds

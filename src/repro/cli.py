@@ -143,10 +143,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(exc, file=sys.stderr)
             return 2
         if outdir:
-            from .campaign.cache import artifact_text
+            from .campaign.ledger import Ledger
 
             path = outdir / f"{eid}.txt"
-            path.write_text(artifact_text(text))
+            Ledger(outdir).artifact(path.name, text)
             print(f"wrote {path}")
         else:
             print(text)
@@ -285,40 +285,49 @@ def _cmd_faults_or_recover(args: argparse.Namespace) -> int:
 DEFAULT_CAMPAIGN_DIR = "campaign-out"
 
 
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from .campaign import CampaignRunner, CampaignSpec, SpecError
-    from .chaos import ChaosError, ChaosSpec
+def _campaign_spec(args: argparse.Namespace) -> Any:
+    """The campaign a verb was given: ``--spec FILE``, one ``*.json``
+    target, or experiment ids (with any ``--param``).  A bad command
+    line raises ``ValueError``, an unreadable file ``OSError``; the
+    verbs print either after their name and exit 2."""
+    from .campaign import CampaignSpec
 
-    try:
-        params = _parse_params(args.params)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = ChaosSpec.parse(args.chaos)
-        except ChaosError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    params = _parse_params(getattr(args, "params", None))
     targets = args.targets or []
     if args.spec and targets:
-        print("repro campaign run: give either --spec or experiment ids, not both",
-              file=sys.stderr)
-        return 2
+        raise ValueError("give either --spec or experiment ids, not both")
+    if args.spec or (len(targets) == 1 and targets[0].endswith(".json")):
+        return CampaignSpec.from_file(args.spec or targets[0])
+    if targets:
+        return CampaignSpec.from_ids(targets, params)
+    raise ValueError("give a spec file, experiment ids, or 'all'")
+
+
+def _chaos_spec(args: argparse.Namespace) -> Any:
+    """The parsed ``--chaos`` spec (``None`` without one); a bad spec
+    raises ``ChaosError``, a ``ValueError``."""
+    from .chaos import ChaosSpec
+
+    return ChaosSpec.parse(args.chaos) if args.chaos else None
+
+
+def _serve_client(args: argparse.Namespace) -> Any:
+    """The server a client verb talks to: ``--port`` directly, else the
+    one ``<dir>/server.json`` advertises (``ServeError`` if none)."""
+    from .serve import ServeClient, discover
+
+    return ServeClient(args.host, args.port) if args.port else discover(args.dir)
+
+
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from .campaign import CampaignRunner, SpecError
+    from .chaos import ChaosError
+
     try:
-        if args.spec:
-            spec = CampaignSpec.from_file(args.spec)
-        elif len(targets) == 1 and targets[0].endswith(".json"):
-            spec = CampaignSpec.from_file(targets[0])
-        elif targets:
-            spec = CampaignSpec.from_ids(targets, params)
-        else:
-            print("repro campaign run: give a spec file, experiment ids, or 'all'",
-                  file=sys.stderr)
-            return 2
-    except (OSError, SpecError) as exc:
-        print(exc, file=sys.stderr)
+        chaos = _chaos_spec(args)
+        spec = _campaign_spec(args)
+    except (OSError, ValueError) as exc:
+        print(f"repro campaign run: {exc}", file=sys.stderr)
         return 2
     tracer = None
     if args.trace or args.metrics:
@@ -433,30 +442,12 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_plan(args: argparse.Namespace) -> int:
-    from .campaign import CampaignSpec, SpecError
-    from .chaos import ChaosError, ChaosSpec
-
     try:
-        chaos = ChaosSpec.parse(args.chaos)
-    except ChaosError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    targets = args.targets or []
-    try:
-        if args.spec:
-            spec = CampaignSpec.from_file(args.spec)
-        elif len(targets) == 1 and targets[0].endswith(".json"):
-            spec = CampaignSpec.from_file(targets[0])
-        elif targets:
-            spec = CampaignSpec.from_ids(targets)
-        else:
-            print("repro chaos plan: give a campaign spec file, experiment "
-                  "ids, or 'all'", file=sys.stderr)
-            return 2
-        job_ids = [job.job_id for job in spec.expand()]
-        plan = chaos.compile(job_ids)
-    except (OSError, SpecError, ChaosError) as exc:
-        print(exc, file=sys.stderr)
+        chaos = _chaos_spec(args)
+        spec = _campaign_spec(args)
+        plan = chaos.compile([job.job_id for job in spec.expand()])
+    except (OSError, ValueError) as exc:
+        print(f"repro chaos plan: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
@@ -503,34 +494,14 @@ def _cmd_campaign_clean(args: argparse.Namespace) -> int:
 DEFAULT_SERVE_DIR = "serve-out"
 
 
-def _serve_spec(args: argparse.Namespace) -> Any:
-    """The campaign spec a serve submit/drill verb was given."""
-    from .campaign import CampaignSpec
-
-    params = _parse_params(getattr(args, "params", None))
-    targets = args.targets or []
-    if args.spec and targets:
-        raise ValueError("give either --spec or experiment ids, not both")
-    if args.spec:
-        return CampaignSpec.from_file(args.spec)
-    if len(targets) == 1 and targets[0].endswith(".json"):
-        return CampaignSpec.from_file(targets[0])
-    if targets:
-        return CampaignSpec.from_ids(targets, params)
-    raise ValueError("give a spec file, experiment ids, or 'all'")
-
-
 def _cmd_serve_start(args: argparse.Namespace) -> int:
-    from .chaos import ChaosError, ChaosSpec
     from .serve import CampaignServer, ServerConfig
 
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = ChaosSpec.parse(args.chaos)
-        except ChaosError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    try:
+        chaos = _chaos_spec(args)
+    except ValueError as exc:
+        print(f"repro serve start: {exc}", file=sys.stderr)
+        return 2
     tracer = None
     if args.trace or args.metrics:
         from .obs import Tracer
@@ -570,19 +541,15 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_submit(args: argparse.Namespace) -> int:
-    from .campaign import SpecError
-    from .serve import ServeError, ServeClient, discover
+    from .serve import ServeError
 
     try:
-        spec = _serve_spec(args)
-    except (OSError, SpecError, ValueError) as exc:
+        spec = _campaign_spec(args)
+    except (OSError, ValueError) as exc:
         print(f"repro serve submit: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.port:
-            client = ServeClient(args.host, args.port)
-        else:
-            client = discover(args.dir)
+        client = _serve_client(args)
         receipt = client.submit_with_retry(spec.to_dict(), timeout=args.timeout)
         if args.wait:
             final = client.wait(receipt["campaign"], timeout=args.timeout)
@@ -595,13 +562,10 @@ def _cmd_serve_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_status(args: argparse.Namespace) -> int:
-    from .serve import ServeError, ServeClient, discover
+    from .serve import ServeError
 
     try:
-        if args.port:
-            client = ServeClient(args.host, args.port)
-        else:
-            client = discover(args.dir)
+        client = _serve_client(args)
         if args.campaign:
             doc: Dict[str, Any] = client.campaign(args.campaign)
         else:
@@ -636,13 +600,10 @@ def _cmd_serve_status(args: argparse.Namespace) -> int:
 
 def _cmd_serve_drain(args: argparse.Namespace) -> int:
     from .perf.hostclock import HostClock, host_sleep
-    from .serve import ServeError, ServeClient, discover
+    from .serve import ServeError
 
     try:
-        if args.port:
-            client = ServeClient(args.host, args.port)
-        else:
-            client = discover(args.dir)
+        client = _serve_client(args)
         doc = client.drain()
     except ServeError as exc:
         print(f"repro serve drain: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 The campaign layer (:mod:`repro.campaign`) runs batch passes; this
 package wraps the same execution engine — the same
-:func:`~repro.campaign.worker.execute_job`, the same content-addressed
-:class:`~repro.campaign.cache.ResultCache`, the same
-:class:`~repro.campaign.policy.FailurePolicy` — in a long-running,
+:class:`~repro.campaign.pool.PoolSupervisor` worker pool, the same
+:class:`~repro.campaign.ledger.Ledger` for every durable write, the
+same :class:`~repro.campaign.policy.FailurePolicy` — in a long-running,
 crash-safe HTTP service:
 
 * :mod:`~repro.serve.store` — the SQLite (WAL) durable job queue;

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..campaign.policy import FailurePolicy
-from ..campaign.worker import NEVER_RETRY
 from .store import JobRow, JobStore
 
 __all__ = ["Settled", "LeaseManager"]
@@ -98,14 +97,8 @@ class LeaseManager:
         """
         attempts = job.attempts + 1
         kills = job.kills + (1 if add_kill else 0)
+        # A service submission has no fallback params: never "degrade".
         action = self.policy.decide(classification, attempts, kills=kills)
-        if action == "degrade":
-            # Service submissions carry no fallback params (documented
-            # limitation), so decide() cannot return degrade here; keep
-            # the guard in case a future schema adds them.
-            action = "final"
-        if classification in NEVER_RETRY and action == "retry":
-            action = "final"
         if action == "retry":
             delay_s = self.policy.delay(job.job_id, attempts)
             ok = self.store.requeue_failure(

@@ -7,28 +7,32 @@ One process, three cooperating loops:
   durable store — submissions, status, artifacts, drain;
 * the **dispatch loop** (a single asyncio task) wakes on every event
   that can create or free work — a submission, a finished flight, a
-  drain — then settles completions through the shared
-  :class:`~repro.campaign.policy.FailurePolicy` and leases eligible
-  jobs into a worker pool.  At most once per ``tick_s`` a pass also
-  *sweeps*: it expires dead leases, heartbeats live ones, runs the
-  hard-hang watchdog, and rewrites ``manifest.json`` if the ledger
-  changed (re-encoding only the rows that moved).  Without an event the
-  loop sleeps until the next sweep is due, so backoff requeues still
-  become claimable within ``tick_s``;
-* the **worker pool** (:class:`~concurrent.futures.ProcessPoolExecutor`)
-  runs the exact :func:`~repro.campaign.worker.execute_job` the batch
-  runner uses — same seeding, same chaos hooks, same classification —
-  so a served artifact is byte-identical to a batch one.
+  drain — then reaps the worker pool, settles each outcome through the
+  shared :class:`~repro.campaign.policy.FailurePolicy`, and leases
+  eligible jobs into the pool.  At most once per ``tick_s`` a pass also
+  *sweeps*: it expires dead leases, heartbeats live ones, and rewrites
+  ``manifest.json`` if the ledger changed (re-encoding only the rows
+  that moved).  Without an event the loop sleeps until the next sweep
+  is due, so backoff requeues still become claimable within ``tick_s``;
+* the **worker pool** is a :class:`~repro.campaign.pool.PoolSupervisor`,
+  the one ``repro campaign run --jobs N`` uses: the same
+  :func:`~repro.campaign.worker.execute_job`, kill and hang
+  attribution, deadline watchdog and pool rebuild — so a served
+  artifact is byte-identical to a batch one, and a worker death or a
+  hang is charged to a job by the same rules.
 
 Crash-safety contract (the chaos drill proves it): the server may be
 SIGKILLed at any instant.  Every accepted job lives in a single-
 transaction SQLite row (:class:`~repro.serve.store.JobStore`) before
-the 201 is sent; artifacts are written temp + ``os.replace``; terminal
-outcomes append to the same fsync'd, torn-tolerant journal the batch
-runner keeps.  On restart the store requeues every lease the dead
-process held, the chaos fired-set reloads from SQLite (a ``server_kill``
-never fires twice), and completed work is never recomputed — resubmits
-dedupe onto done rows and cache hits.
+the 201 is sent.  Artifacts, cache entries, journal records and the
+manifest go through the :class:`~repro.campaign.ledger.Ledger` that
+``repro campaign run`` writes with: whole files land temp +
+``os.replace``, terminal outcomes append to the fsync'd, torn-tolerant
+journal, and injected write faults are absorbed the same way.  On
+restart the store requeues every lease the dead process held, the
+chaos fired-set reloads from SQLite (a ``server_kill`` never fires
+twice), and completed work is never recomputed — resubmits dedupe onto
+done rows and cache hits.
 
 Side-effect idempotency: results commit under a **fencing token**.  A
 worker whose lease expired can finish and try to report — the store
@@ -48,28 +52,27 @@ import signal
 import sys
 import threading
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from ..campaign.cache import ResultCache, artifact_text, cache_key, code_fingerprint, text_digest
-from ..campaign.manifest import (
-    JOURNAL_FILE,
-    MANIFEST_FILE,
-    JobRecord,
-    append_journal,
-    manifest_text,
-    record_text,
+from ..campaign.cache import (
+    ResultCache,
+    artifact_text,
+    atomic_write,
+    cache_key,
+    code_fingerprint,
+    text_digest,
 )
+from ..campaign.ledger import Ledger
+from ..campaign.manifest import JobRecord, manifest_text, record_text
 from ..campaign.policy import FailurePolicy
-from ..campaign.pool import fresh_pool, is_broken_pool, teardown_pool
+from ..campaign.pool import Flight, PoolSupervisor
 from ..campaign.spec import CampaignSpec, SpecError
-from ..campaign.worker import JobOutcome, classify_failure, execute_job
+from ..campaign.worker import JobOutcome
 from ..chaos import ChaosEvent, ChaosInjector, ChaosPlan, ChaosSpec
-from ..chaos.inject import torn_cache_put, torn_journal_append
 from ..perf.hostclock import HostClock, host_sleep
-from .leases import LeaseManager
+from .leases import LeaseManager, Settled
 from .protocol import (
     API_VERSION,
     ProtocolError,
@@ -96,12 +99,6 @@ DB_FILE = "serve.db"
 #: Discovery file: where a running server says it listens (host, port,
 #: pid).  Written atomically on bind; CLI clients read it to connect.
 SERVER_FILE = "server.json"
-
-
-def _atomic_write(path: pathlib.Path, payload: str) -> None:
-    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _row_record(row: tuple) -> JobRecord:
@@ -149,9 +146,7 @@ class ServerConfig:
     jobs: int = 2
     retries: int = 1
     backoff_base: float = 0.05
-    backoff_cap: float = 2.0
     quarantine_after: int = 2
-    retry_seed: int = 0
     lease_ttl: float = 5.0
     deadline_s: Optional[float] = None
     deadline_grace: float = 2.0
@@ -168,19 +163,6 @@ class ServerConfig:
     #: ``SIGKILL`` of this process — the drill runs the server as a
     #: subprocess and watches it die mid-lease)
     on_server_kill: Optional[Callable[[], None]] = None
-
-
-@dataclass
-class _Flight:
-    """One dispatched lease: a pool future owned by a fencing token."""
-
-    job: JobRow
-    token: str
-    future: Any
-    start: float
-    attempt: int
-    #: cleared by a heartbeat_loss injection: the lease is left to die
-    heartbeat: bool = True
 
 
 class ServerHandle:
@@ -211,9 +193,7 @@ class CampaignServer:
         self.policy = FailurePolicy(
             retries=config.retries,
             backoff_base=config.backoff_base,
-            backoff_cap=config.backoff_cap,
             quarantine_after=config.quarantine_after,
-            seed=config.retry_seed,
         )
         self.policy.validate()
         self.store = JobStore(self.directory / DB_FILE)
@@ -225,8 +205,17 @@ class CampaignServer:
         self.counters: Dict[str, int] = {}
         self._fingerprint = code_fingerprint()
         self._clock = HostClock()
-        self._flights: Dict[str, _Flight] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self.ledger = Ledger(self.directory, self.cache, self._count, self._note_chaos_fired)
+        self._pool = PoolSupervisor(
+            config.jobs,
+            config.deadline_s,
+            config.deadline_grace,
+            now=self._now,
+            count=self._count,
+            note=self._note_chaos_fired,
+        )
+        #: lease tokens a heartbeat_loss injection silenced: left to expire
+        self._silent: Set[str] = set()
         self._stop: Optional[asyncio.Event] = None
         self._wake: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -236,7 +225,6 @@ class CampaignServer:
         #: exception types whose traceback a failed pass already printed
         self._reported_errors: Set[type] = set()
         self._injector: Optional[ChaosInjector] = None
-        self._plan: Optional[ChaosPlan] = None
         recovered = self.store.recover()
         if recovered:
             self._count("recovered_leases", recovered)
@@ -284,9 +272,9 @@ class CampaignServer:
             self._install_plan(plan, persist=False)
 
     def _install_plan(self, plan: ChaosPlan, persist: bool) -> None:
-        self._plan = plan
-        self._injector = ChaosInjector(plan)
-        self._injector.note_fired(self.store.chaos_fired_keys())
+        injector = ChaosInjector(plan)
+        injector.note_fired(self.store.chaos_fired_keys())
+        self._injector = self.ledger.injector = self._pool.injector = injector
         if persist:
             doc = {"seed": plan.seed, "events": [asdict(e) for e in plan.events]}
             self.store.set_meta("chaos_plan", json.dumps(doc, sort_keys=True))
@@ -320,54 +308,11 @@ class CampaignServer:
     def _ensure_artifact(self, job_id: str, text: str) -> Tuple[str, str]:
         """Write ``<job_id>.txt`` unless it already holds these bytes;
         returns ``(digest, artifact_name)``."""
-        payload = artifact_text(text)
-        digest = text_digest(payload)
         name = f"{job_id}.txt"
-        path = self.directory / name
-        try:
-            if path.read_text(encoding="utf-8") == payload:
-                return digest, name
-        except (OSError, UnicodeDecodeError):
-            pass
-        _atomic_write(path, payload)
-        self._count("artifacts_written")
+        digest, wrote = self.ledger.artifact(name, text)
+        if wrote:
+            self._count("artifacts_written")
         return digest, name
-
-    def _cache_put(self, job: JobRow, text: str) -> None:
-        meta = {"experiment": job.experiment, "params": job.params}
-        event = (
-            self._injector.write_fault("cache", job.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_fired(event)
-                if event.kind == "torn":
-                    torn_cache_put(self.cache, job.key, text, meta=meta)
-                    return
-                raise OSError(5, "chaos: injected cache I/O error")
-            self.cache.put(job.key, text, meta=meta)
-        except OSError:
-            self._count("write_errors")
-
-    def _journal(self, record: JobRecord) -> None:
-        path = self.directory / JOURNAL_FILE
-        event = (
-            self._injector.write_fault("journal", record.job_id)
-            if self._injector is not None
-            else None
-        )
-        try:
-            if event is not None:
-                self._note_chaos_fired(event)
-                if event.kind == "torn":
-                    torn_journal_append(path, record)
-                    return
-                raise OSError(5, "chaos: injected journal I/O error")
-            append_journal(path, record)
-        except OSError:
-            self._count("write_errors")
 
     def _write_manifest(self) -> None:
         """Snapshot the whole ledger as a manifest.json — including the
@@ -388,18 +333,17 @@ class CampaignServer:
         text = manifest_text(
             pieces, name=self.config.name, code_fingerprint=self._fingerprint
         )
-        try:
-            _atomic_write(self.directory / MANIFEST_FILE, text)
+        if self.ledger.write_manifest(lambda path: atomic_write(path, text)):
             self._count("manifest_writes")
-        except OSError:
-            self._count("write_errors")
         self._manifest_dirty = False
 
     # -- settlement plumbing ------------------------------------------------
-    def _settle_success(self, job: JobRow, token: str, text: str, source: str) -> None:
+    def _settle_success(self, job: JobRow, text: str, source: str) -> None:
         payload = artifact_text(text)
         digest = text_digest(payload)
-        settled = self.leases.settle_success(job, token, digest, f"{job.job_id}.txt")
+        settled = self.leases.settle_success(
+            job, job.lease_token, digest, f"{job.job_id}.txt"
+        )
         if not settled.applied:
             # A stale token lost the race: the ledger already moved on,
             # so this result causes zero side effects — no artifact, no
@@ -408,7 +352,7 @@ class CampaignServer:
             return
         self._ensure_artifact(job.job_id, text)
         if source == "computed":
-            self._cache_put(job, text)
+            self.ledger.put_cache(job, job.key, text)
         self._count("completed")
         record = JobRecord(
             job_id=job.job_id,
@@ -421,30 +365,13 @@ class CampaignServer:
             attempts=settled.attempts,
             backoff_s=job.backoff_s,
         )
-        self._journal(record)
+        self.ledger.append(record)
         self._manifest_dirty = True
 
-    def _settle_failure(
-        self,
-        job: JobRow,
-        token: str,
-        classification: str,
-        error: str,
-        error_type: str,
-        add_kill: bool = False,
-    ) -> None:
-        settled = self.leases.settle_failure(
-            job, token, classification, error, error_type, add_kill=add_kill
-        )
-        if not settled.applied:
-            self._count("stale_discards")
-            return
-        self._manifest_dirty = True
-        if settled.action == "retry":
-            self._count("retries")
-            return
+    def _journal_failure(self, job: JobRow, settled: Settled, error_type: str) -> None:
+        """Count and journal one terminal failure (failed or quarantined)."""
         self._count(settled.status)
-        self._journal(
+        self.ledger.append(
             JobRecord(
                 job_id=job.job_id,
                 experiment=job.experiment,
@@ -460,10 +387,17 @@ class CampaignServer:
         )
 
     # -- the dispatch loop --------------------------------------------------
-    def _wake_dispatcher(self, *_: Any) -> None:
-        """Run a dispatch pass now (also a flight future's done callback)."""
+    def _wake_dispatcher(self) -> None:
+        """Run a dispatch pass now."""
         if self._wake is not None:
             self._wake.set()
+
+    def _flight_done(self, _future: Any) -> None:
+        """A pool future's done callback, run on the executor's thread:
+        wake the dispatcher on the loop's (a no-op once the loop closed)."""
+        if self._loop is not None:
+            with suppress(RuntimeError):
+                self._loop.call_soon_threadsafe(self._wake_dispatcher)
 
     async def _dispatch_loop(self, wake: asyncio.Event, stop: asyncio.Event) -> None:
         next_sweep = self._now()
@@ -479,7 +413,7 @@ class CampaignServer:
                 self._pass_failed(exc)
             if sweep and self._manifest_dirty:
                 self._write_manifest()
-            if self.draining and not self._flights and self.store.backlog() == 0:
+            if self.draining and not self._pool.flights and self.store.backlog() == 0:
                 stop.set()
                 return
             with suppress(asyncio.TimeoutError):
@@ -489,9 +423,7 @@ class CampaignServer:
         if sweep:
             self._expire_leases()
             self._heartbeat()
-        self._reap_completions()
-        if sweep:
-            self._watchdog()
+        self._reap()
         self._claim()
 
     def _pass_failed(self, exc: Exception) -> None:
@@ -515,224 +447,109 @@ class CampaignServer:
             self._manifest_dirty = True
             if settled.action == "retry":
                 self._count("retries")
-            else:
-                self._count(settled.status)
-                row = self.store.job(settled.key)
-                if row is not None:
-                    self._journal(
-                        JobRecord(
-                            job_id=row.job_id,
-                            experiment=row.experiment,
-                            params=row.params,
-                            status=settled.status,
-                            source="computed",
-                            attempts=row.attempts,
-                            error=settled.error,
-                            error_type=row.error_type,
-                            classification=settled.classification,
-                            backoff_s=row.backoff_s,
-                        )
-                    )
+                continue
+            row = self.store.job(settled.key)
+            if row is not None:
+                self._journal_failure(row, settled, row.error_type)
 
     def _heartbeat(self) -> None:
         pairs = [
-            (flight.job.key, flight.token)
-            for flight in self._flights.values()
-            if flight.heartbeat and not flight.future.done()
+            (flight.ticket.key, flight.ticket.lease_token)
+            for flight in self._pool.flights.values()
+            if flight.ticket.lease_token not in self._silent and not flight.future.done()
         ]
         self.leases.heartbeat(pairs)
 
-    def _reap_completions(self) -> None:
-        finished = [
-            (token, flight)
-            for token, flight in self._flights.items()
-            if flight.future.done()
-        ]
-        broken: List[_Flight] = []
-        for token, flight in finished:
-            del self._flights[token]
-            try:
-                outcome: JobOutcome = flight.future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001
-                if is_broken_pool(exc):
-                    broken.append(flight)
-                    continue
-                outcome = JobOutcome(
-                    job_id=flight.job.job_id,
-                    ok=False,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                    classification=classify_failure(exc),
-                )
-            self._handle_outcome(flight, outcome)
-        if broken:
-            # A worker death poisons every in-flight future: drain them
-            # all now, attribute the kill, and rebuild the pool.
-            broken.extend(self._flights.values())
-            self._flights.clear()
-            self._rebuild_pool(broken, reason="broken")
+    def _reap(self) -> None:
+        """Settle what the pool finished, and every casualty of a worker
+        death or the watchdog: victims through the policy, innocents
+        back to the queue free of charge."""
+        for flight, outcome in self._pool.reap():
+            if outcome is not None:
+                self._handle_outcome(flight, outcome)
+                continue
+            settled = self.leases.settle_innocent(flight.ticket, flight.ticket.lease_token)
+            if settled.applied:
+                self._count("innocent_requeues")
+                self._manifest_dirty = True
 
-    def _handle_outcome(self, flight: _Flight, outcome: JobOutcome) -> None:
+    def _handle_outcome(self, flight: Flight, outcome: JobOutcome) -> None:
+        job: JobRow = flight.ticket
         self._note_chaos_keys(outcome.chaos)
         if self.tracer is not None:
             self.tracer.complete(
                 SERVE_PID,
-                flight.job.job_id,
+                job.job_id,
                 flight.start,
                 self._now(),
                 cat="serve.job",
                 args={
-                    "experiment": flight.job.experiment,
+                    "experiment": job.experiment,
                     "ok": outcome.ok,
                     "attempt": flight.attempt,
                 },
             )
         if outcome.ok:
-            self._settle_success(flight.job, flight.token, outcome.text, "computed")
+            self._settle_success(job, outcome.text, "computed")
+            return
+        classification = outcome.classification or "transient"
+        settled = self.leases.settle_failure(
+            job,
+            job.lease_token,
+            classification,
+            outcome.error,
+            outcome.error_type,
+            add_kill=classification == "crash",
+        )
+        if not settled.applied:
+            self._count("stale_discards")
+            return
+        self._manifest_dirty = True
+        if settled.action == "retry":
+            self._count("retries")
         else:
-            self._settle_failure(
-                flight.job,
-                flight.token,
-                outcome.classification or "transient",
-                outcome.error,
-                outcome.error_type,
-            )
+            self._journal_failure(job, settled, outcome.error_type)
 
-    def _rebuild_pool(self, casualties: List[_Flight], reason: str) -> None:
-        """Casualty triage + fresh pool — mirrors the batch runner:
-        chaos-attributed victims consume an attempt (and a kill),
-        innocents requeue free of charge."""
-        self._count("pool_rebuilds")
-        victims: List[_Flight] = []
-        innocents: List[_Flight] = []
-        if reason == "broken" and self._injector is not None:
-            for flight in casualties:
-                event = self._injector.kill_event(flight.job.job_id, flight.attempt)
-                if event is not None:
-                    self._injector.fire(event)
-                    self._note_chaos_fired(event)
-                    victims.append(flight)
-                else:
-                    innocents.append(flight)
-        if not victims:
-            victims, innocents = casualties, []
-        for flight in victims:
-            if reason == "stuck":
-                deadline = self.config.deadline_s or 0.0
-                error = (
-                    f"job exceeded its {deadline:g}s deadline "
-                    f"(+{self.config.deadline_grace:g}s grace); worker killed"
-                )
-                self._settle_failure(
-                    flight.job, flight.token, "timeout", error, "JobTimeoutError"
-                )
-            else:
-                self._settle_failure(
-                    flight.job,
-                    flight.token,
-                    "crash",
-                    "worker process died mid-job (pool broken)",
-                    "WorkerKilledError",
-                    add_kill=True,
-                )
-        for flight in innocents:
-            settled = self.leases.settle_innocent(flight.job, flight.token)
-            if settled.applied:
-                self._count("innocent_requeues")
-                self._manifest_dirty = True
-        if self._pool is not None:
-            self._pool = fresh_pool(self._pool, self.config.jobs)
-
-    def _watchdog(self) -> None:
-        if self.config.deadline_s is None or not self._flights:
-            return
-        limit = self.config.deadline_s + self.config.deadline_grace
-        now = self._now()
-        stuck = [
-            token
-            for token, flight in self._flights.items()
-            if now - flight.start > limit
-        ]
-        if not stuck:
-            return
-        casualties = [self._flights.pop(token) for token in stuck]
-        for flight in casualties:
-            if self._injector is not None:
-                event = self._injector.hang_event(flight.job.job_id, flight.attempt)
-                if event is not None:
-                    self._injector.fire(event)
-                    self._note_chaos_fired(event)
-        # The only way to kill a stuck worker is to tear the pool down,
-        # which takes the innocents' processes with it.
-        survivors = list(self._flights.values())
-        self._flights.clear()
-        self._rebuild_pool(casualties, reason="stuck")
-        for flight in survivors:
-            settled = self.leases.settle_innocent(flight.job, flight.token)
-            if settled.applied:
-                self._count("innocent_requeues")
-                self._manifest_dirty = True
+    def _fire(self, event: Optional[ChaosEvent]) -> bool:
+        """Fire and note one service-side injection; False without one."""
+        if event is None or self._injector is None:
+            return False
+        self._injector.fire(event)
+        self._note_chaos_fired(event)
+        return True
 
     def _claim(self) -> None:
-        if self._pool is None or self._loop is None:
+        pool, injector = self._pool, self._injector
+        if pool.executor is None:
             return
-        while len(self._flights) < self.config.jobs:
-            slot = min(
-                set(range(self.config.jobs))
-                - {f.job.lease_worker for f in self._flights.values()},
-                default=0,
-            )
+        while len(pool.flights) < self.config.jobs:
+            slot = pool.free_slot()
             job = self.leases.acquire(slot)
             if job is None:
                 return
             self._manifest_dirty = True
             attempt = job.attempts + 1
-            if self._injector is not None:
-                event = self._injector.server_kill_event(job.job_id, attempt)
-                if event is not None:
-                    # The drill moment: the lease is durable, the fired
-                    # key is durable, and *then* the server dies.  The
-                    # restarted server must requeue this exact job and
-                    # never re-fire this event.
-                    self._injector.fire(event)
-                    self._note_chaos_fired(event)
-                    self._server_kill()
-                    return
+            if injector is not None and self._fire(
+                injector.server_kill_event(job.job_id, attempt)
+            ):
+                # The drill moment: the lease is durable, the fired
+                # key is durable, and *then* the server dies.  The
+                # restarted server must requeue this exact job and
+                # never re-fire this event.
+                self._server_kill()
+                return
             text = self.cache.get(job.key)
             if text is not None:
                 self._count("cache_hits")
-                self._settle_success(job, job.lease_token, text, "cache")
+                self._settle_success(job, text, "cache")
                 continue
-            heartbeat = True
-            if self._injector is not None:
-                event = self._injector.heartbeat_loss_event(job.job_id, attempt)
-                if event is not None:
-                    self._injector.fire(event)
-                    self._note_chaos_fired(event)
-                    heartbeat = False
+            if injector is not None and self._fire(
+                injector.heartbeat_loss_event(job.job_id, attempt)
+            ):
+                self._silent.add(job.lease_token)
             self.store.mark_running(job.key, job.lease_token)
-            future = self._loop.run_in_executor(
-                self._pool,
-                execute_job,
-                job.job_id,
-                job.experiment,
-                job.params,
-                self._plan,
-                attempt,
-                self.config.deadline_s,
-                True,
-            )
-            future.add_done_callback(self._wake_dispatcher)
-            self._flights[job.lease_token] = _Flight(
-                job=job,
-                token=job.lease_token,
-                future=future,
-                start=self._now(),
-                attempt=attempt,
-                heartbeat=heartbeat,
-            )
+            flight = pool.submit(job.job_id, job.experiment, job.params, attempt, slot, job)
+            flight.future.add_done_callback(self._flight_done)
             self._count("dispatched")
 
     def _server_kill(self) -> None:
@@ -967,12 +784,12 @@ class CampaignServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._wake = asyncio.Event()
-        self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
+        self._pool.start()
         server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port
         )
         self.port = server.sockets[0].getsockname()[1]
-        _atomic_write(
+        atomic_write(
             self.directory / SERVER_FILE,
             json.dumps(
                 {
@@ -995,9 +812,7 @@ class CampaignServer:
             dispatcher.cancel()
             with suppress(asyncio.CancelledError):
                 await dispatcher
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                teardown_pool(pool)
+            self._pool.close()
             self._write_manifest()
             self.store.close()
 

@@ -3,6 +3,9 @@ faults — worker kills, hangs past deadline, torn writes — completes
 with artifacts byte-identical to an undisturbed run, and the same
 chaos seed reproduces the same injection set across runs."""
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, read_journal
@@ -90,6 +93,7 @@ def test_cooperative_hang_times_out_and_retries(tmp_path, jobs):
 
 
 def test_hard_hang_trips_the_parent_watchdog(tmp_path):
+    before = set(multiprocessing.active_children())
     chaos = ChaosSpec(
         events=(ChaosEvent(kind="hang", job="table1", seconds=30.0, hard=True),)
     )
@@ -100,6 +104,11 @@ def test_hard_hang_trips_the_parent_watchdog(tmp_path):
     assert result.timeouts >= 1
     assert result.pool_rebuilds >= 1  # the stuck worker had to be killed
     assert result.chaos_fired == ["hang:table1@1"]
+    # ... and it was: no worker the pass started lives out the 30 s hang
+    deadline = time.monotonic() + 10.0
+    while set(multiprocessing.active_children()) - before:
+        assert time.monotonic() < deadline, "a pool worker outlived its pass"
+        time.sleep(0.05)
 
 
 # ---------------------------------------------------------------------------

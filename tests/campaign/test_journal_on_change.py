@@ -19,6 +19,7 @@ from repro.campaign import (
     read_journal,
     rebuild_manifest_doc,
 )
+from repro.campaign.ledger import Ledger
 from repro.chaos import ChaosEvent, ChaosSpec
 from repro.core.evaluation import EXPERIMENTS
 from repro.obs import metrics_dict, Tracer
@@ -27,12 +28,20 @@ from repro.obs import metrics_dict, Tracer
 FAST = ["table1", "top500", "lists", "fig6"]
 
 
+class AlwaysAppendLedger(Ledger):
+    def append(self, record):
+        self.journaled = {}
+        super().append(record)
+
+
 class AlwaysAppend(CampaignRunner):
     """The runner as it was: every finished job appends its record."""
 
-    def _journal_append(self, record):
-        self._journaled = {}
-        super()._journal_append(record)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ledger = AlwaysAppendLedger(
+            self.directory, self.cache, self._count, self._note_chaos_event
+        )
 
 
 def make_runner(tmp_path, name, ids=None, cls=CampaignRunner, **kwargs):

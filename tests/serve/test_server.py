@@ -189,6 +189,33 @@ def test_heartbeat_loss_expires_the_lease_and_retries(tmp_path):
         handle.stop()
 
 
+def test_hard_hang_trips_the_server_watchdog(tmp_path):
+    """A worker that never returns outlives deadline + grace: the
+    watchdog kills it by rebuilding the pool, charges the attempt as a
+    timeout, and the retry produces the artifact."""
+    plan = ChaosPlan(
+        seed=0,
+        events=(ChaosEvent(kind="hang", job="table1", attempt=1, seconds=30.0, hard=True),),
+    )
+    server = make_server(
+        tmp_path, jobs=2, deadline_s=0.2, deadline_grace=0.2, tick_s=0.02, chaos=plan
+    )
+    handle = server.start_background()
+    try:
+        client = ServeClient("127.0.0.1", server.port)
+        doc = client.submit({"name": "hang", "jobs": ["table1", "top500"]})
+        final = client.wait(doc["campaign"], timeout=60, poll_s=0.02)
+        stats = client.stats()
+    finally:
+        handle.stop()
+    jobs = {job["job_id"]: job for job in final["jobs"]}
+    assert [job["state"] for job in final["jobs"]] == ["done", "done"]
+    assert jobs["table1"]["attempts"] == 2
+    assert len(jobs["table1"]["backoff_s"]) == 1
+    assert stats["counters"]["pool_rebuilds"] == 1
+    assert "hang:table1@1" in stats["chaos_fired"]
+
+
 def test_server_kill_fires_once_and_restart_recovers(tmp_path):
     """The tentpole drill in-process: a server_kill injection stops the
     server at lease-grant (fired key already durable); a fresh server
