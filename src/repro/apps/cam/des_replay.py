@@ -7,24 +7,17 @@ spectral-sum allreduce per step.  FV dycore: compute + six halo sweeps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ...halo.exchange import neighbors2d
 from ...machines.specs import MachineSpec
-from ...simmpi import Cluster
 from .model import CAM_SUSTAINED_GFLOPS, CamBenchmark
 from .physics import PhysicsLoadModel
 
-__all__ = ["replay_steps", "CamReplayResult"]
+if TYPE_CHECKING:  # pragma: no cover - loaded on first replay
+    from ..replay import ReplayResult
 
-
-@dataclass(frozen=True)
-class CamReplayResult:
-    machine: str
-    benchmark: str
-    tasks: int
-    seconds_per_step: float
-    messages: int
+__all__ = ["replay_steps"]
 
 
 def replay_steps(
@@ -33,7 +26,7 @@ def replay_steps(
     tasks: int,
     steps: int = 1,
     load_balanced: bool = True,
-) -> CamReplayResult:
+) -> ReplayResult:
     """Run ``steps`` CAM timesteps at message level (pure MPI, VN)."""
     if tasks < 1 or steps < 1:
         raise ValueError("tasks and steps must be >= 1")
@@ -51,37 +44,27 @@ def replay_steps(
         per_pair = max(1, int(state_bytes / tasks**2))
     else:
         halo_bytes = int(benchmark.nlon * benchmark.nlev * 8 * 2)
-        # 1-D latitude decomposition for the replay's halo ring.
-        grid = (1, tasks)
 
-    def program(comm):
-        t0 = comm.now
-        for step in range(steps):
-            yield from comm.compute(seconds=t_compute)
-            if benchmark.dycore == "spectral":
-                yield from comm.alltoall(per_pair)
-                yield from comm.alltoall(per_pair)
-                yield from comm.allreduce(2048, dtype="float64")
-            else:
-                nb = neighbors2d(comm.rank, grid)
-                for sweep in range(6):
-                    tag = 100 * step + 10 * sweep
-                    reqs = [
-                        comm.irecv(src=nb["north"], tag=tag),
-                        comm.irecv(src=nb["south"], tag=tag + 1),
-                        comm.isend(nb["south"], halo_bytes, tag=tag),
-                        comm.isend(nb["north"], halo_bytes, tag=tag + 1),
-                    ]
-                    yield from comm.waitall(reqs)
-                yield from comm.allreduce(256, dtype="float64")
-        return comm.now - t0
+    def one_step(comm, grid, step: int):
+        yield from comm.compute(seconds=t_compute)
+        if benchmark.dycore == "spectral":
+            yield from comm.alltoall(per_pair)
+            yield from comm.alltoall(per_pair)
+            yield from comm.allreduce(2048, dtype="float64")
+        else:
+            nb = neighbors2d(comm.rank, grid)
+            for sweep in range(6):
+                tag = 100 * step + 10 * sweep
+                reqs = [
+                    comm.irecv(src=nb["north"], tag=tag),
+                    comm.irecv(src=nb["south"], tag=tag + 1),
+                    comm.isend(nb["south"], halo_bytes, tag=tag),
+                    comm.isend(nb["north"], halo_bytes, tag=tag + 1),
+                ]
+                yield from comm.waitall(reqs)
+            yield from comm.allreduce(256, dtype="float64")
 
-    cluster = Cluster(machine, ranks=tasks, mode="VN")
-    res = cluster.run(program)
-    return CamReplayResult(
-        machine=machine.name,
-        benchmark=benchmark.name,
-        tasks=tasks,
-        seconds_per_step=max(res.returns) / steps,
-        messages=res.messages,
-    )
+    from ..replay import replay
+
+    # 1-D latitude decomposition for the FV halo ring.
+    return replay(machine, tasks, steps, one_step, lambda n: (1, n), mode="VN")

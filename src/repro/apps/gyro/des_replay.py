@@ -9,24 +9,17 @@ allreduce costs that separate the machines at scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ...machines.specs import MachineSpec
-from ...simmpi import Cluster
 from .fieldsolve import fieldsolve_flops
 from .grid5d import B1_STD, GyroProblem
 from .model import GYRO_SUSTAINED_GFLOPS, UNOPTIMIZED_ALLTOALL_PENALTY
 
-__all__ = ["replay_steps", "GyroReplayResult"]
+if TYPE_CHECKING:  # pragma: no cover - loaded on first replay
+    from ..replay import ReplayResult
 
-
-@dataclass(frozen=True)
-class GyroReplayResult:
-    machine: str
-    problem: str
-    processes: int
-    seconds_per_step: float
-    messages: int
+__all__ = ["replay_steps"]
 
 
 def replay_steps(
@@ -35,7 +28,7 @@ def replay_steps(
     problem: GyroProblem = B1_STD,
     steps: int = 1,
     mode: str = "VN",
-) -> GyroReplayResult:
+) -> ReplayResult:
     """Run ``steps`` GYRO timesteps at message level."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -54,22 +47,13 @@ def replay_steps(
     if machine.name == "BG/P":
         per_pair = int(per_pair * UNOPTIMIZED_ALLTOALL_PENALTY)
 
-    def program(comm):
-        t0 = comm.now
-        for _ in range(steps):
-            yield from comm.compute(seconds=t_compute)
-            for _t in range(problem.transposes_per_step):
-                yield from comm.alltoall(per_pair)
-            for _r in range(problem.reductions_per_step):
-                yield from comm.allreduce(problem.reduction_bytes, dtype="float64")
-        return comm.now - t0
+    def one_step(comm, _layout, _step: int):
+        yield from comm.compute(seconds=t_compute)
+        for _t in range(problem.transposes_per_step):
+            yield from comm.alltoall(per_pair)
+        for _r in range(problem.reductions_per_step):
+            yield from comm.allreduce(problem.reduction_bytes, dtype="float64")
 
-    cluster = Cluster(machine, ranks=processes, mode=mode)
-    res = cluster.run(program)
-    return GyroReplayResult(
-        machine=machine.name,
-        problem=problem.name,
-        processes=processes,
-        seconds_per_step=max(res.returns) / steps,
-        messages=res.messages,
-    )
+    from ..replay import replay
+
+    return replay(machine, processes, steps, one_step, mode=mode)

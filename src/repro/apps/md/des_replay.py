@@ -8,27 +8,19 @@ Cross-validates the Fig. 8 models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Type
+from typing import Type, TYPE_CHECKING
 
 import numpy as np
 
 from ...machines.specs import MachineSpec
-from ...simmpi import Cluster
 from .models import FLOPS_PER_ATOM, FLOPS_PER_PAIR, MD_SUSTAINED_GFLOPS, MdModel
 from .pme import pme_fft_flops
 from .system import MdSystem, RUBISCO
 
-__all__ = ["replay_steps", "MdReplayResult"]
+if TYPE_CHECKING:  # pragma: no cover - loaded on first replay
+    from ..replay import ReplayResult
 
-
-@dataclass(frozen=True)
-class MdReplayResult:
-    machine: str
-    code: str
-    processes: int
-    seconds_per_step: float
-    messages: int
+__all__ = ["replay_steps"]
 
 
 def replay_steps(
@@ -38,7 +30,7 @@ def replay_steps(
     system: MdSystem = RUBISCO,
     steps: int = 1,
     mode: str = "VN",
-) -> MdReplayResult:
+) -> ReplayResult:
     """Run ``steps`` MD timesteps at message level."""
     if processes < 1 or steps < 1:
         raise ValueError("processes and steps must be >= 1")
@@ -57,36 +49,27 @@ def replay_steps(
     pme_per_pair = max(1, int(grid_bytes / processes**2))
     gather_bytes = int(system.n_atoms * 24 / processes)
 
-    def program(comm):
+    def one_step(comm, _layout, step: int):
         right = (comm.rank + 1) % comm.size
         left = (comm.rank - 1) % comm.size
-        t0 = comm.now
-        for step in range(steps):
-            yield from comm.compute(seconds=t_pair + t_fft)
-            # Ghost exchange: 6 directional messages approximated as a
-            # ring exchange repeated 3x (one per dimension).
-            for d in range(3):
-                tag = 100 * step + 10 * d
-                reqs = [
-                    comm.irecv(src=left, tag=tag),
-                    comm.irecv(src=right, tag=tag + 1),
-                    comm.isend(right, ghost_bytes, tag=tag),
-                    comm.isend(left, ghost_bytes, tag=tag + 1),
-                ]
-                yield from comm.waitall(reqs)
-            yield from comm.alltoall(pme_per_pair)  # PME transpose
-            for _ in range(model.reductions_per_step):
-                yield from comm.allreduce(64, dtype="float64")
-            if model.output_interval and (step % model.output_interval == 0):
-                yield from comm.gather(gather_bytes, root=0)
-        return comm.now - t0
+        yield from comm.compute(seconds=t_pair + t_fft)
+        # Ghost exchange: 6 directional messages approximated as a
+        # ring exchange repeated 3x (one per dimension).
+        for d in range(3):
+            tag = 100 * step + 10 * d
+            reqs = [
+                comm.irecv(src=left, tag=tag),
+                comm.irecv(src=right, tag=tag + 1),
+                comm.isend(right, ghost_bytes, tag=tag),
+                comm.isend(left, ghost_bytes, tag=tag + 1),
+            ]
+            yield from comm.waitall(reqs)
+        yield from comm.alltoall(pme_per_pair)  # PME transpose
+        for _ in range(model.reductions_per_step):
+            yield from comm.allreduce(64, dtype="float64")
+        if model.output_interval and (step % model.output_interval == 0):
+            yield from comm.gather(gather_bytes, root=0)
 
-    cluster = Cluster(machine, ranks=processes, mode=mode)
-    res = cluster.run(program)
-    return MdReplayResult(
-        machine=machine.name,
-        code=model_cls.code,
-        processes=processes,
-        seconds_per_step=max(res.returns) / steps,
-        messages=res.messages,
-    )
+    from ..replay import replay
+
+    return replay(machine, processes, steps, one_step, mode=mode)

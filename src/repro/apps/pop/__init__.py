@@ -2,7 +2,7 @@
 
 from .baroclinic import baroclinic_step_numpy, BAROCLINIC_WORK, BaroclinicWork
 from .barotropic import BarotropicConfig, TENTH_DEGREE_BAROTROPIC
-from .des_replay import PopReplayResult, replay_steps
+from .des_replay import replay_steps
 from .grid import decompose, Imbalance, imbalance, PopGrid, TENTH_DEGREE
 from .model import (
     MAX_BGP_PROCESSES,
@@ -45,5 +45,4 @@ __all__ = [
     "MAX_BGP_PROCESSES",
     "seconds_per_simday_to_syd",
     "replay_steps",
-    "PopReplayResult",
 ]

@@ -13,79 +13,20 @@ model at small scale, anchoring the Fig. 4 curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple, TYPE_CHECKING
 
 from ...halo.exchange import neighbors2d
 from ...machines.specs import MachineSpec
-from ...simmpi import Cluster
 from .baroclinic import BAROCLINIC_WORK
 from .barotropic import TENTH_DEGREE_BAROTROPIC
 from .grid import decompose, PopGrid
 from .model import POP_SUSTAINED_GFLOPS
 from .solvers import CHRONGEAR_SIGNATURE, SolverSignature
 
-__all__ = [
-    "replay_steps",
-    "checkpointed_walltime",
-    "PopReplayResult",
-    "PopCheckpointReport",
-]
+if TYPE_CHECKING:  # pragma: no cover - loaded on first replay
+    from ..replay import ReplayResult
 
-
-@dataclass(frozen=True)
-class PopReplayResult:
-    """Outcome of a message-level POP replay."""
-
-    machine: str
-    processes: int
-    steps: int
-    seconds_per_step: float
-    messages: int
-    #: fault statistics when the replay ran under a fault plan
-    faults: Any = None
-    #: the :class:`~repro.recovery.RecoveryOutcome` when the replay ran
-    #: under a recovery policy (``seconds_per_step`` then averages the
-    #: *whole* timeline, overheads included), else ``None``
-    recovery: Any = None
-
-    @property
-    def seconds_per_simday(self) -> float:
-        from .model import STEPS_PER_SIMDAY
-
-        return self.seconds_per_step * STEPS_PER_SIMDAY
-
-
-@dataclass(frozen=True)
-class PopCheckpointReport:
-    """Checkpoint-interval-adjusted wall-clock for one POP campaign.
-
-    The useful-work time comes from a message-level replay; the
-    resilience overhead from the Young/Daly model over the machine's
-    MTBF and its real I/O path (see :mod:`repro.faults.checkpoint`).
-    """
-
-    machine: str
-    processes: int
-    system_nodes: int
-    simdays: float
-    work_seconds: float
-    checkpoint_seconds: float
-    interval_seconds: float
-    expected_seconds: float
-
-    @property
-    def inflation(self) -> float:
-        return self.expected_seconds / self.work_seconds
-
-    def format(self) -> str:
-        return (
-            f"POP {self.simdays:g} simdays on {self.machine} "
-            f"({self.system_nodes} nodes): work {self.work_seconds / 3600:.2f} h, "
-            f"checkpoint {self.checkpoint_seconds:.0f} s every "
-            f"{self.interval_seconds / 60:.1f} min -> expected "
-            f"{self.expected_seconds / 3600:.2f} h ({self.inflation:.3f}x)"
-        )
+__all__ = ["replay_steps"]
 
 
 def replay_steps(
@@ -99,8 +40,7 @@ def replay_steps(
     faults: Any = None,
     reliability: Any = None,
     recovery: Any = None,
-    budget: Any = None,
-) -> PopReplayResult:
+) -> ReplayResult:
     """Run ``steps`` POP timesteps at message level.
 
     The per-rank compute times come from the same sustained rate the
@@ -112,8 +52,7 @@ def replay_steps(
     under ``mode="shrink"`` the survivors rebuild the domain
     decomposition over the live ranks and continue in place; under
     ``mode="restart"`` the whole job is rewound to the last completed
-    checkpoint of the policy's schedule and re-run.  ``budget`` (a
-    :class:`~repro.simengine.Budget`) bounds the run either way.
+    checkpoint of the policy's schedule and re-run.
     """
     if processes < 1 or steps < 1:
         raise ValueError("processes and steps must be >= 1")
@@ -168,113 +107,9 @@ def replay_steps(
                         solver.allreduce_bytes, dtype="float64"
                     )
 
-    if recovery is None:
-        def program(comm):
-            geom = geometry(comm.size)
-            t0 = comm.now
-            for step in range(steps):
-                yield from one_step(comm, geom, step)
-            return comm.now - t0
+    from ..replay import replay
 
-        cluster = Cluster(
-            machine, ranks=processes, mode=mode, reliability=reliability
-        )
-        res = cluster.run(program, faults=faults, budget=budget)
-        return PopReplayResult(
-            machine=machine.name,
-            processes=processes,
-            steps=steps,
-            seconds_per_step=max(res.returns) / steps,
-            messages=res.messages,
-            faults=res.faults,
-        )
-
-    from ...recovery import RankFailedError, run_with_recovery
-
-    def program_factory(runtime, start_step: int):
-        def program(world):
-            comm = world
-            geom = geometry(world.size)
-            t0 = world.now
-            step = start_step
-            while step < steps:
-                try:
-                    yield from one_step(comm, geom, step)
-                    runtime.end_step(comm, step)
-                    yield from runtime.maybe_checkpoint(comm, step)
-                    step += 1
-                except RankFailedError:
-                    if runtime.policy.mode != "shrink":
-                        raise  # restart mode: the driver rewinds the job
-                    while True:
-                        if len(runtime.live_ranks()) < runtime.policy.min_ranks:
-                            raise
-                        try:
-                            comm, step = yield from runtime.recover(world, step)
-                            break
-                        except RankFailedError:
-                            continue  # another node died mid-recovery
-                    geom = geometry(comm.size)
-            return world.now - t0
-
-        return program
-
-    outcome = run_with_recovery(
-        recovery,
-        lambda env=None: Cluster(
-            machine, ranks=processes, mode=mode,
-            env=env, reliability=reliability,
-        ),
-        program_factory,
-        faults=faults,
-        budget=budget,
-    )
-    return PopReplayResult(
-        machine=machine.name,
-        processes=processes,
-        steps=steps,
-        seconds_per_step=outcome.times.walltime / steps,
-        messages=outcome.result.messages,
-        faults=outcome.result.faults,
-        recovery=outcome,
-    )
-
-
-def checkpointed_walltime(
-    machine: MachineSpec,
-    processes: int,
-    grid: PopGrid,
-    simdays: float = 30.0,
-    system_nodes: Optional[int] = None,
-    memory_fraction: float = 0.5,
-    **replay_kwargs: Any,
-) -> PopCheckpointReport:
-    """Checkpoint-interval-adjusted wall-clock for a POP campaign.
-
-    One timestep is replayed at message level to get the useful-work
-    rate; the Young/Daly model then adds the cost of surviving
-    ``system_nodes`` nodes' worth of failures (default: the replay's
-    own process count), with the checkpoint written through the
-    machine's modeled I/O path.
-    """
-    from ...faults.checkpoint import CheckpointModel
-
-    if simdays <= 0:
-        raise ValueError("simdays must be positive")
-    r = replay_steps(machine, processes, grid, steps=1, **replay_kwargs)
-    work = r.seconds_per_simday * simdays
-    nodes = processes if system_nodes is None else system_nodes
-    model = CheckpointModel.from_machine(
-        machine, nodes, memory_fraction=memory_fraction
-    )
-    tau = model.optimal_interval()
-    return PopCheckpointReport(
-        machine=machine.name,
-        processes=processes,
-        system_nodes=nodes,
-        simdays=simdays,
-        work_seconds=work,
-        checkpoint_seconds=model.checkpoint_seconds,
-        interval_seconds=tau,
-        expected_seconds=model.expected_runtime(work, tau),
+    return replay(
+        machine, processes, steps, one_step, geometry, mode=mode,
+        faults=faults, reliability=reliability, recovery=recovery,
     )

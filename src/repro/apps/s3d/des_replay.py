@@ -9,31 +9,18 @@ scaling model against the simulated network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple, TYPE_CHECKING
 
 from ...machines.specs import MachineSpec
-from ...simmpi import Cluster
 from .chemistry import CHEM_FLOPS_PER_POINT
 from .model import FLOPS_PER_POINT_PER_STAGE, N_VARS, S3D_SUSTAINED_GFLOPS
 from .rk import RK_STAGES
 from .stencil import DERIV_WIDTH
 
-__all__ = ["replay_steps", "checkpointed_walltime", "S3dReplayResult"]
+if TYPE_CHECKING:  # pragma: no cover - loaded on first replay
+    from ..replay import ReplayResult
 
-
-@dataclass(frozen=True)
-class S3dReplayResult:
-    machine: str
-    processes: int
-    seconds_per_step: float
-    messages: int
-    #: fault statistics when the replay ran under a fault plan
-    faults: Any = None
-    #: the :class:`~repro.recovery.RecoveryOutcome` when the replay ran
-    #: under a recovery policy (``seconds_per_step`` then averages the
-    #: *whole* timeline, overheads included), else ``None``
-    recovery: Any = None
+__all__ = ["replay_steps"]
 
 
 def _proc_grid(processes: int) -> Tuple[int, int, int]:
@@ -85,8 +72,7 @@ def replay_steps(
     faults: Any = None,
     reliability: Any = None,
     recovery: Any = None,
-    budget: Any = None,
-) -> S3dReplayResult:
+) -> ReplayResult:
     """Run ``steps`` S3D timesteps at message level.
 
     ``recovery`` (a :class:`~repro.recovery.RecoveryPolicy`) arms
@@ -121,102 +107,9 @@ def replay_steps(
         yield from comm.compute(seconds=t_chem)
         yield from comm.allreduce(64, dtype="float64")  # monitoring
 
-    if recovery is None:
-        dims = _proc_grid(processes)
+    from ..replay import replay
 
-        def program(comm):
-            t0 = comm.now
-            for step in range(steps):
-                yield from one_step(comm, dims, step)
-            return comm.now - t0
-
-        cluster = Cluster(
-            machine, ranks=processes, mode=mode, reliability=reliability
-        )
-        res = cluster.run(program, faults=faults, budget=budget)
-        return S3dReplayResult(
-            machine=machine.name,
-            processes=processes,
-            seconds_per_step=max(res.returns) / steps,
-            messages=res.messages,
-            faults=res.faults,
-        )
-
-    from ...recovery import RankFailedError, run_with_recovery
-
-    def program_factory(runtime, start_step: int):
-        def program(world):
-            comm = world
-            dims = _proc_grid(world.size)
-            t0 = world.now
-            step = start_step
-            while step < steps:
-                try:
-                    yield from one_step(comm, dims, step)
-                    runtime.end_step(comm, step)
-                    yield from runtime.maybe_checkpoint(comm, step)
-                    step += 1
-                except RankFailedError:
-                    if runtime.policy.mode != "shrink":
-                        raise  # restart mode: the driver rewinds the job
-                    while True:
-                        if len(runtime.live_ranks()) < runtime.policy.min_ranks:
-                            raise
-                        try:
-                            comm, step = yield from runtime.recover(world, step)
-                            break
-                        except RankFailedError:
-                            continue  # another node died mid-recovery
-                    dims = _proc_grid(comm.size)
-            return world.now - t0
-
-        return program
-
-    outcome = run_with_recovery(
-        recovery,
-        lambda env=None: Cluster(
-            machine, ranks=processes, mode=mode,
-            env=env, reliability=reliability,
-        ),
-        program_factory,
-        faults=faults,
-        budget=budget,
+    return replay(
+        machine, processes, steps, one_step, _proc_grid, mode=mode,
+        faults=faults, reliability=reliability, recovery=recovery,
     )
-    return S3dReplayResult(
-        machine=machine.name,
-        processes=processes,
-        seconds_per_step=outcome.times.walltime / steps,
-        messages=outcome.result.messages,
-        faults=outcome.result.faults,
-        recovery=outcome,
-    )
-
-
-def checkpointed_walltime(
-    machine: MachineSpec,
-    processes: int,
-    edge: int = 50,
-    campaign_steps: int = 100000,
-    system_nodes: Optional[int] = None,
-    memory_fraction: float = 0.5,
-    **replay_kwargs: Any,
-) -> Tuple[float, float]:
-    """Expected wall-clock for a ``campaign_steps``-step S3D campaign.
-
-    Returns ``(expected_seconds, inflation)`` — the per-step rate comes
-    from a one-step message-level replay, the resilience overhead from
-    the Young/Daly model over the machine's MTBF and I/O path (default
-    partition size: the replay's process count).
-    """
-    from ...faults.checkpoint import CheckpointModel
-
-    if campaign_steps < 1:
-        raise ValueError("campaign_steps must be >= 1")
-    r = replay_steps(machine, processes, edge=edge, steps=1, **replay_kwargs)
-    work = campaign_steps * r.seconds_per_step
-    nodes = processes if system_nodes is None else system_nodes
-    model = CheckpointModel.from_machine(
-        machine, nodes, memory_fraction=memory_fraction
-    )
-    expected = model.expected_runtime(work)
-    return expected, expected / work

@@ -148,8 +148,10 @@ def _checkpoint(simdays: float = 30.0, system_nodes: int = 4096) -> Tuple[Tracer
     ``repro recover checkpoint-sim`` runs the *executed*
     checkpoint/restart protocol against the same model.
     """
-    from ..apps.pop.des_replay import checkpointed_walltime
+    from ..apps.pop.des_replay import replay_steps
     from ..apps.pop.grid import PopGrid
+    from ..apps.pop.model import STEPS_PER_SIMDAY
+    from ..apps.replay import checkpointed_walltime
     from ..machines import BGP, XT4_QC
 
     grid = PopGrid(nx=360, ny=240, levels=20)
@@ -158,10 +160,10 @@ def _checkpoint(simdays: float = 30.0, system_nodes: int = 4096) -> Tuple[Tracer
     with tracing(tracer):
         for machine in (BGP, XT4_QC):
             rep = checkpointed_walltime(
-                machine, processes=8, grid=grid,
-                simdays=simdays, system_nodes=system_nodes,
+                replay_steps, machine, 8, simdays * STEPS_PER_SIMDAY,
+                system_nodes=system_nodes, grid=grid,
             )
-            lines.append(rep.format())
+            lines.append(rep.format(f"POP {simdays:g} simdays"))
     return tracer, "\n".join(lines)
 
 

@@ -27,7 +27,7 @@ keeping it out of this namespace avoids the cycle, mirroring
 :mod:`repro.faults.scenarios`).
 """
 
-from .driver import RecoveryOutcome, run_recovered, run_with_recovery
+from .driver import RecoveryOutcome, run_recovered
 from .errors import RankFailedError, RestartsExhaustedError
 from .policy import CheckpointSchedule, RecoveryPolicy
 from .runtime import (
@@ -48,5 +48,4 @@ __all__ = [
     "RestartsExhaustedError",
     "Segment",
     "run_recovered",
-    "run_with_recovery",
 ]

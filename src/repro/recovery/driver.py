@@ -38,7 +38,7 @@ from .errors import RankFailedError, RestartsExhaustedError
 from .policy import RecoveryPolicy
 from .runtime import RecoveryRuntime, RecoveryTimes, Segment
 
-__all__ = ["RecoveryOutcome", "run_recovered", "run_with_recovery"]
+__all__ = ["RecoveryOutcome", "run_recovered"]
 
 
 @dataclass
@@ -79,9 +79,7 @@ def run_recovered(
     program_factory: Callable[[RecoveryRuntime, int], Callable],
     plan: Optional[FaultPlan] = None,
     *,
-    budget: Optional[Any] = None,
     sanitize: bool = False,
-    trace: bool = False,
 ) -> RecoveryOutcome:
     """Run a program under ``policy`` until it completes (or gives up).
 
@@ -91,10 +89,9 @@ def run_recovered(
     and call the runtime's ``end_step`` / ``maybe_checkpoint`` hooks
     (and, in shrink mode, ``runtime.recover`` on failure).
 
-    ``plan`` faults are injected per attempt, filtered to those still in
-    the future of the resumed clock.  ``budget`` bounds each attempt
-    (``max_sim_time`` is absolute simulation time and therefore bounds
-    the whole timeline; event/wall bounds are per attempt).
+    The first attempt gets the whole ``plan``, a fault at t=0 included;
+    each restart gets the faults still in the future of its resumed
+    clock, so the fault that killed an attempt does not fire again.
 
     Raises :class:`RestartsExhaustedError` when restart-mode failures
     exceed ``policy.max_restarts``; shrink-mode failures the program
@@ -129,10 +126,8 @@ def run_recovered(
             result = cluster.run(
                 program,
                 recovery=runtime,
-                faults=_remaining(plan, resume_time),
+                faults=plan if attempt == 0 else _remaining(plan, resume_time),
                 sanitize=sanitize,
-                trace=trace,
-                budget=budget,
             )
         except (RankFailedError, FaultError) as exc:
             failed_ranks.update(runtime.dead_ranks)
@@ -170,50 +165,3 @@ def run_recovered(
             failed_ranks=frozenset(failed_ranks),
             segments=segments,
         )
-
-
-def run_with_recovery(
-    policy: RecoveryPolicy,
-    cluster_factory: Callable[[Optional[Engine]], Any],
-    program_factory: Callable[[RecoveryRuntime, int], Callable],
-    *,
-    faults: Optional[FaultPlan] = None,
-    budget: Optional[Any] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-) -> RecoveryOutcome:
-    """Mode dispatcher used by the application replays.
-
-    Restart-mode policies go through the full :func:`run_recovered`
-    loop; shrink-mode policies run once (the program recovers in-place
-    via ``runtime.recover``).  Either way the caller gets one uniform
-    :class:`RecoveryOutcome`.
-    """
-    if policy.mode == "restart":
-        return run_recovered(
-            policy,
-            cluster_factory,
-            program_factory,
-            plan=faults,
-            budget=budget,
-            sanitize=sanitize,
-            trace=trace,
-        )
-    cluster = cluster_factory(Engine())
-    runtime = RecoveryRuntime(policy)
-    result = cluster.run(
-        program_factory(runtime, 0),
-        recovery=runtime,
-        faults=faults,
-        sanitize=sanitize,
-        trace=trace,
-        budget=budget,
-    )
-    return RecoveryOutcome(
-        result=result,
-        times=runtime.times(),
-        attempts=1,
-        checkpoints_written=runtime.checkpoints_written,
-        failed_ranks=frozenset(runtime.dead_ranks),
-        segments=list(runtime.segments),
-    )

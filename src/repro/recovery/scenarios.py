@@ -8,8 +8,8 @@ are deterministic: the same parameters produce byte-identical traces
 run to run, which the CI ``recovery`` job checks with a literal
 ``cmp``.
 
-This module imports :mod:`repro.apps` (which imports
-:mod:`repro.simmpi`, which imports :mod:`repro.recovery`) and therefore
+This module imports :mod:`repro.apps` (whose replay driver,
+:mod:`repro.apps.replay`, imports :mod:`repro.recovery`) and therefore
 must NOT be imported from ``repro.recovery.__init__``;
 :mod:`repro.obs.scenarios` loads it on first use, as it does
 :mod:`repro.faults.scenarios`.
@@ -18,6 +18,7 @@ must NOT be imported from ``repro.recovery.__init__``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..obs.tracer import Tracer, tracing
@@ -26,22 +27,51 @@ from .policy import CheckpointSchedule, RecoveryPolicy
 __all__ = ["CheckpointComparison", "SCENARIOS", "simulate_checkpointing"]
 
 
-def _pop_setup(processes: int, steps: int):
-    """Shared prologue of the POP scenarios: grid, healthy probe, plan."""
-    from ..apps.pop.des_replay import replay_steps
-    from ..apps.pop.grid import PopGrid
-    from ..faults import FaultPlan, NodeFail
-    from ..machines import BGP
+def _node_of(machine: Any, ranks: int, mode: str, rank: int) -> Any:
+    """The node that hosts ``rank`` of a ``ranks``-rank job."""
     from ..simmpi import Cluster
 
+    return Cluster(machine, ranks=ranks, mode=mode).mapping.node_of(rank)
+
+
+def _setup(app: Callable[..., Any]) -> Tuple[Any, Any]:
+    """Shared prologue of the app scenarios: healthy probe and plan.
+
+    ``app(**kwargs)`` replays the scenario's BG/P job in VN mode; the
+    healthy probe times its step, and the plan kills the node hosting
+    rank ``processes // 2`` halfway through step 2.
+    """
+    from ..faults import FaultPlan, NodeFail
+    from ..machines import BGP
+
+    probe = app()
+    node = _node_of(BGP, probe.processes, "VN", probe.processes // 2)
+    plan = FaultPlan((NodeFail(time=2.5 * probe.seconds_per_step, node=node),))
+    return probe, plan
+
+
+def _pop(processes: int, steps: int) -> Callable[..., Any]:
+    """The job of the POP scenarios: a tenth-degree-ish BG/P replay."""
+    from ..apps.pop.des_replay import replay_steps
+    from ..apps.pop.grid import PopGrid
+    from ..machines import BGP
+
     grid = PopGrid(nx=360, ny=240, levels=20)
-    probe = replay_steps(BGP, processes, grid, steps=steps, mode="VN")
-    step = probe.seconds_per_step
-    node = Cluster(BGP, ranks=processes, mode="VN").mapping.node_of(
-        processes // 2
+    return partial(replay_steps, BGP, processes, grid, steps=steps, mode="VN")
+
+
+def _shrink(name: str, app: Callable[..., Any]) -> Tuple[Tracer, str]:
+    """Survive :func:`_setup`'s node failure by shrinking in place."""
+    probe, plan = _setup(app)
+    tracer = Tracer(engine_stride=64)
+    with tracing(tracer):
+        out = app(faults=plan, recovery=RecoveryPolicy(mode="shrink")).recovery
+    return tracer, (
+        f"{name} on BG/P ({probe.processes} ranks VN, {probe.steps} steps): "
+        f"healthy {probe.seconds_per_step * probe.steps:.4g}s -> recovered "
+        f"{out.times.walltime:.4g}s with {len(out.failed_ranks)} rank(s) "
+        f"lost; {out.times.summary()}"
     )
-    plan = FaultPlan((NodeFail(time=2.5 * step, node=node),))
-    return grid, probe, plan
 
 
 def _pop_shrink(processes: int = 16, steps: int = 5) -> Tuple[Tracer, str]:
@@ -53,23 +83,7 @@ def _pop_shrink(processes: int = 16, steps: int = 5) -> Tuple[Tracer, str]:
     aborted step, and complete — the time decomposition tiles the
     wall-clock exactly.
     """
-    from ..apps.pop.des_replay import replay_steps
-    from ..machines import BGP
-
-    grid, probe, plan = _pop_setup(processes, steps)
-    tracer = Tracer(engine_stride=64)
-    with tracing(tracer):
-        r = replay_steps(
-            BGP, processes, grid, steps=steps, mode="VN",
-            faults=plan, recovery=RecoveryPolicy(mode="shrink"),
-        )
-    out = r.recovery
-    return tracer, (
-        f"pop-shrink on BG/P ({processes} ranks VN, {steps} steps): healthy "
-        f"{probe.seconds_per_step * steps:.4g}s -> recovered "
-        f"{out.times.walltime:.4g}s with {len(out.failed_ranks)} rank(s) "
-        f"lost; {out.times.summary()}"
-    )
+    return _shrink("pop-shrink", _pop(processes, steps))
 
 
 def _pop_restart(processes: int = 16, steps: int = 5) -> Tuple[Tracer, str]:
@@ -80,10 +94,8 @@ def _pop_restart(processes: int = 16, steps: int = 5) -> Tuple[Tracer, str]:
     job, and the driver reboots it from the last completed checkpoint —
     paying restart and re-execution instead of shrinking.
     """
-    from ..apps.pop.des_replay import replay_steps
-    from ..machines import BGP
-
-    grid, probe, plan = _pop_setup(processes, steps)
+    app = _pop(processes, steps)
+    probe, plan = _setup(app)
     step = probe.seconds_per_step
     schedule = CheckpointSchedule(
         interval_seconds=1.7 * step,
@@ -92,12 +104,10 @@ def _pop_restart(processes: int = 16, steps: int = 5) -> Tuple[Tracer, str]:
     )
     tracer = Tracer(engine_stride=64)
     with tracing(tracer):
-        r = replay_steps(
-            BGP, processes, grid, steps=steps, mode="VN",
+        out = app(
             faults=plan,
             recovery=RecoveryPolicy(mode="restart", schedule=schedule),
-        )
-    out = r.recovery
+        ).recovery
     return tracer, (
         f"pop-restart on BG/P ({processes} ranks VN, {steps} steps): healthy "
         f"{step * steps:.4g}s -> {out.summary()}"
@@ -107,28 +117,10 @@ def _pop_restart(processes: int = 16, steps: int = 5) -> Tuple[Tracer, str]:
 def _s3d_shrink(processes: int = 16, steps: int = 6) -> Tuple[Tracer, str]:
     """The S3D flavour of shrink-and-continue (3-D grid redecomposed)."""
     from ..apps.s3d.des_replay import replay_steps
-    from ..faults import FaultPlan, NodeFail
     from ..machines import BGP
-    from ..simmpi import Cluster
 
-    probe = replay_steps(BGP, processes, edge=20, steps=steps, mode="VN")
-    step = probe.seconds_per_step
-    node = Cluster(BGP, ranks=processes, mode="VN").mapping.node_of(
-        processes // 2
-    )
-    plan = FaultPlan((NodeFail(time=2.5 * step, node=node),))
-    tracer = Tracer(engine_stride=64)
-    with tracing(tracer):
-        r = replay_steps(
-            BGP, processes, edge=20, steps=steps, mode="VN",
-            faults=plan, recovery=RecoveryPolicy(mode="shrink"),
-        )
-    out = r.recovery
-    return tracer, (
-        f"s3d-shrink on BG/P ({processes} ranks VN, {steps} steps): healthy "
-        f"{step * steps:.4g}s -> recovered {out.times.walltime:.4g}s with "
-        f"{len(out.failed_ranks)} rank(s) lost; {out.times.summary()}"
-    )
+    app = partial(replay_steps, BGP, processes, edge=20, steps=steps, mode="VN")
+    return _shrink("s3d-shrink", app)
 
 
 def _livelock(
@@ -212,31 +204,17 @@ def simulate_checkpointing(
     expectation (deterministic failure spacing vs the model's
     exponential assumption accounts for the residual).
     """
+    from ..apps.replay import replay
     from ..faults import FaultPlan, NodeFail
     from ..faults.checkpoint import CheckpointModel
-    from ..simmpi import Cluster
-    from . import RecoveryPolicy as _Policy, run_recovered
 
-    def make_program(runtime, start_step):
-        def program(comm):
-            for step in range(start_step, steps):
-                yield from comm.compute(flops=2e7)
-                yield from comm.allreduce(8192, dtype="float64")
-                runtime.end_step(comm, step)
-                yield from runtime.maybe_checkpoint(comm, step)
-            return comm.now
-        return program
+    def one_step(comm, _layout, _step: int):
+        yield from comm.compute(flops=2e7)
+        yield from comm.allreduce(8192, dtype="float64")
 
     # Healthy probe: the per-step rate anchoring the failure regime.
-    def healthy(comm):
-        for _ in range(4):
-            yield from comm.compute(flops=2e7)
-            yield from comm.allreduce(8192, dtype="float64")
-        return comm.now
-
-    probe = Cluster(machine, ranks=ranks, mode=mode)
-    step_seconds = probe.run(healthy).elapsed / 4.0
-    fail_node = probe.mapping.node_of(ranks - 1)
+    step_seconds = replay(machine, ranks, 4, one_step, mode=mode).seconds_per_step
+    fail_node = _node_of(machine, ranks, mode, ranks - 1)
 
     model = CheckpointModel(
         mtbf_seconds=mtbf_steps * step_seconds,
@@ -254,15 +232,10 @@ def simulate_checkpointing(
         )
     )
 
-    def cluster_factory(env):
-        return Cluster(machine, ranks=ranks, mode=mode, env=env)
-
-    outcome = run_recovered(
-        _Policy(mode="restart", schedule=schedule),
-        cluster_factory,
-        make_program,
-        plan=plan,
-    )
+    outcome = replay(
+        machine, ranks, steps, one_step, mode=mode, faults=plan,
+        recovery=RecoveryPolicy(mode="restart", schedule=schedule),
+    ).recovery
     return CheckpointComparison(
         machine=machine.name,
         work_seconds=work,

@@ -22,7 +22,7 @@ def test_cam_replay_agrees_with_model(bmk):
 
 def test_cam_replay_caps_at_rank_limit():
     rep = cam_replay(BGP, SPECTRAL_T42, tasks=1024)
-    assert rep.tasks == SPECTRAL_T42.mpi_rank_limit
+    assert rep.processes == SPECTRAL_T42.mpi_rank_limit
 
 
 def test_cam_replay_spectral_uses_alltoall():

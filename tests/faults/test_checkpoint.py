@@ -74,28 +74,32 @@ def test_from_machine_validation():
 
 
 def test_pop_checkpointed_walltime_two_machines():
-    from repro.apps.pop.des_replay import checkpointed_walltime
+    from repro.apps.pop.des_replay import replay_steps
     from repro.apps.pop.grid import PopGrid
+    from repro.apps.pop.model import STEPS_PER_SIMDAY
+    from repro.apps.replay import checkpointed_walltime
 
     grid = PopGrid(nx=120, ny=80, levels=8)
     reports = [
         checkpointed_walltime(
-            machine, processes=4, grid=grid, simdays=30.0, system_nodes=4096
+            replay_steps, machine, 4, 30.0 * STEPS_PER_SIMDAY,
+            system_nodes=4096, grid=grid,
         )
         for machine in (BGP, XT4_QC)
     ]
     for rep in reports:
         assert rep.expected_seconds > rep.work_seconds
         assert rep.inflation > 1.0
-        assert str(rep.system_nodes) in rep.format()
+        assert str(rep.system_nodes) in rep.format("POP 30 simdays")
     assert reports[0].machine != reports[1].machine
 
 
 def test_s3d_checkpointed_walltime():
-    from repro.apps.s3d.des_replay import checkpointed_walltime
+    from repro.apps.replay import checkpointed_walltime
+    from repro.apps.s3d.des_replay import replay_steps
 
-    expected, inflation = checkpointed_walltime(
-        BGP, processes=4, edge=20, campaign_steps=1000, system_nodes=4096
+    rep = checkpointed_walltime(
+        replay_steps, BGP, 4, campaign_steps=1000, system_nodes=4096, edge=20
     )
-    assert expected > 0
-    assert inflation > 1.0
+    assert rep.expected_seconds > 0
+    assert rep.inflation > 1.0

@@ -4,17 +4,51 @@ The whole point of *simulated* fault tolerance is reproducible failure
 experiments: the same fault plan against the same machine must produce
 byte-identical Chrome traces run-to-run, whether recovery shrinks the
 communicator or rewinds to a checkpoint.
+
+Run 0 of each scenario is also pinned by the sha256 of its Chrome trace
+and metrics JSON, so a refactor of the replays or the recovery driver
+that moves any span, counter or segment fails here, not only a change
+that makes two runs differ.  A deliberate output change updates
+``PINS``.
 """
 
 import filecmp
+import hashlib
 import json
 
 import pytest
 
-from repro.obs import Tracer, tracing, write_chrome_trace
+from repro.obs import (
+    chrome_trace_json,
+    metrics_json,
+    Tracer,
+    tracing,
+    write_chrome_trace,
+)
 from repro.obs.scenarios import run_scenario
 
 POP_PARAMS = dict(processes=8, steps=4)
+
+#: scenario id -> (sha256 of chrome_trace_json, sha256 of metrics_json)
+#: of run 0 at ``processes=8, steps=4``
+PINS = {
+    "pop-shrink": (
+        "97dc773d3abc7187dd53ea633f39b9d11cdddf1012af22ab4fc815d8939b2f8b",
+        "3cc747c437e7bec696472f453741f5deb9dcc7197d28dce443aa2864ddb12c2e",
+    ),
+    "pop-restart": (
+        "056214b00b2f05e5439035a47c03110419826c5a58cfcf2571438943d6ba11b5",
+        "c4beff0d76d18eebe056f8fd4c8723ae83207076e14131b61557341719039673",
+    ),
+    "s3d-shrink": (
+        "c940f022940b079d40bfe12f7b7f7af1a4e0d7cdf6bc128172f843fc5403afb3",
+        "634d82ba29f96d930912b52ea630c26d6583f19321df51a1ada1bfef983ff97f",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _run_twice(tmp_path, scenario_id, **params):
@@ -22,6 +56,11 @@ def _run_twice(tmp_path, scenario_id, **params):
     lines = []
     for i in (0, 1):
         tracer, line = run_scenario(scenario_id, "recover", **params)
+        if i == 0:
+            assert (
+                _sha256(chrome_trace_json(tracer)),
+                _sha256(metrics_json(tracer)),
+            ) == PINS[scenario_id], f"{scenario_id}: output moved off its pin"
         path = tmp_path / f"{scenario_id}-{i}.json"
         write_chrome_trace(tracer, path)
         paths.append(path)

@@ -98,6 +98,15 @@ def test_restart_rewinds_to_durable_step():
     assert out.times.lost > 0
 
 
+def test_fault_at_time_zero_kills_the_first_attempt():
+    """A fault planned at t=0 fires, as it does under a plain Cluster.run."""
+    out = run_recovered(
+        _policy(), _cluster_factory, _program_factory, plan=_plan(kill_time=0.0)
+    )
+    assert out.attempts == 2
+    assert out.failed_ranks
+
+
 def test_no_faults_single_attempt():
     out = run_recovered(_policy(), _cluster_factory, _program_factory)
     assert out.attempts == 1
