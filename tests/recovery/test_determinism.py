@@ -9,7 +9,9 @@ Run 0 of each scenario is also pinned by the sha256 of its Chrome trace
 and metrics JSON, so a refactor of the replays or the recovery driver
 that moves any span, counter or segment fails here, not only a change
 that makes two runs differ.  A deliberate output change updates
-``PINS``.
+``PINS``.  Beside those, run 0's model and engine digests
+(``tests/trace_digests.py``) tell a change in what the model did from
+a change in the engine's own bookkeeping.
 """
 
 import filecmp
@@ -26,23 +28,30 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.scenarios import run_scenario
+from tests.trace_digests import split_digests
 
 POP_PARAMS = dict(processes=8, steps=4)
 
-#: scenario id -> (sha256 of chrome_trace_json, sha256 of metrics_json)
-#: of run 0 at ``processes=8, steps=4``
+#: scenario id -> (sha256 of chrome_trace_json, sha256 of metrics_json,
+#: model digest, engine digest) of run 0 at ``processes=8, steps=4``
 PINS = {
     "pop-shrink": (
         "97dc773d3abc7187dd53ea633f39b9d11cdddf1012af22ab4fc815d8939b2f8b",
         "3cc747c437e7bec696472f453741f5deb9dcc7197d28dce443aa2864ddb12c2e",
+        "a030108cd3020504859bb269af5bef0dca3dc7e273d8ae463545f5b07cf6b312",
+        "c201f71a7aa5fd1df3e6f56c5913c3888448bb4f168e7678fa5fb4689bcb64a0",
     ),
     "pop-restart": (
         "056214b00b2f05e5439035a47c03110419826c5a58cfcf2571438943d6ba11b5",
         "c4beff0d76d18eebe056f8fd4c8723ae83207076e14131b61557341719039673",
+        "5adfe578478c7805728c68e63a59940dee2d074e9822f90f191307504f9d3f71",
+        "dbfff2c70a38c9c36a4a6f4544a858f864897538701cb16cc4a7c77de44e8e34",
     ),
     "s3d-shrink": (
         "c940f022940b079d40bfe12f7b7f7af1a4e0d7cdf6bc128172f843fc5403afb3",
         "634d82ba29f96d930912b52ea630c26d6583f19321df51a1ada1bfef983ff97f",
+        "3bdbdd5899483d1e3a8f498801cf9aaf032298210e34006a4bb9e80111fb2d06",
+        "85278e2ed8f2a85f57d1c211371bdb0af008c3cec0a1375ac1fa189b20d107ff",
     ),
 }
 
@@ -60,6 +69,7 @@ def _run_twice(tmp_path, scenario_id, **params):
             assert (
                 _sha256(chrome_trace_json(tracer)),
                 _sha256(metrics_json(tracer)),
+                *split_digests(tracer),
             ) == PINS[scenario_id], f"{scenario_id}: output moved off its pin"
         path = tmp_path / f"{scenario_id}-{i}.json"
         write_chrome_trace(tracer, path)
