@@ -7,10 +7,20 @@ constants for microseconds etc. live in :data:`US` and friends.
 Determinism: events scheduled for the same timestamp are processed in
 scheduling order (a monotonically increasing sequence number breaks
 ties), so repeated runs of the same workload produce identical traces.
+
+Host cost: :meth:`Engine.run` pops and fires events inline, and holds
+Python's cyclic garbage collector off while it does.  The loop makes no
+reference cycles (a processed event drops its callbacks, and a resumed
+process replaces its awaited target), so reference counting frees
+everything it allocates and a collection would only re-scan the live
+pending events.  ``tests/simengine/test_fast_loop.py`` pins both
+properties, and checks the loop against :meth:`Engine.step`, the
+one-event reference.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -26,6 +36,8 @@ US = 1e-6
 MS = 1e-3
 #: One nanosecond, in simulation seconds.
 NS = 1e-9
+
+_INF = float("inf")
 
 
 class EmptySchedule(Exception):
@@ -111,7 +123,7 @@ class Engine:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     @property
     def pending(self) -> int:
@@ -119,7 +131,12 @@ class Engine:
         return len(self._queue)
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
+        """Process exactly one event (advancing the clock to it).
+
+        The one-event API for drivers that interleave the engine with
+        other work (the sharded PDES).  :meth:`run` inlines the same
+        steps; this method is the reference it is tested against.
+        """
         try:
             when, _, event = heapq.heappop(self._queue)
         except IndexError:
@@ -153,6 +170,10 @@ class Engine:
         no-sim-time-advance livelock watchdog); exceeding any bound
         raises :class:`~repro.simengine.budget.BudgetExceeded` with a
         partial-result summary instead of hanging.
+
+        The cyclic garbage collector is off while the loop runs.  It is
+        switched back on when ``run`` returns or raises, and only if it
+        was on when ``run`` was entered.
         """
         watch: Optional[_BudgetWatch] = None
         if budget is not None:
@@ -160,7 +181,7 @@ class Engine:
                 budget, start_events=self.events_processed, last_now=self._now
             )
         stop_event: Optional[Event] = None
-        stop_time = float("inf")
+        stop_time = _INF
         if until is None:
             pass
         elif isinstance(until, Event):
@@ -173,37 +194,57 @@ class Engine:
                 raise ValueError(
                     f"until={stop_time} lies in the past (now={self._now})"
                 )
-
-        while True:
-            if stop_event is not None and stop_event.processed:
-                if not stop_event.ok:
-                    raise stop_event.value
-                return stop_event.value
-            nxt = self.peek()
-            if nxt == float("inf"):
-                if stop_event is not None:
-                    if self.on_empty_schedule is not None:
-                        exc = self.on_empty_schedule()
-                        if exc is not None:
-                            raise exc
-                    raise RuntimeError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered (deadlock?)"
-                    )
-                if stop_time != float("inf"):
-                    raise EmptySchedule(
-                        f"schedule drained at t={self._now:.6g}s before "
-                        f"reaching until={stop_time:.6g}s "
-                        f"({self.events_processed} event(s) processed, "
-                        f"0 pending)"
-                    )
-                return None
-            if nxt > stop_time:
-                self._now = stop_time
-                return None
-            if watch is not None:
-                watch.check(self, nxt)
-            self.step()
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
+        queue = self._queue
+        heappop = heapq.heappop
+        try:
+            while True:
+                if stop_event is not None and stop_event.callbacks is None:
+                    if not stop_event.ok:
+                        raise stop_event.value
+                    return stop_event.value
+                when = queue[0][0] if queue else _INF
+                if when == _INF:
+                    if stop_event is not None:
+                        if self.on_empty_schedule is not None:
+                            exc = self.on_empty_schedule()
+                            if exc is not None:
+                                raise exc
+                        raise RuntimeError(
+                            "simulation ran out of events before the awaited "
+                            "event triggered (deadlock?)"
+                        )
+                    if stop_time != _INF:
+                        raise EmptySchedule(
+                            f"schedule drained at t={self._now:.6g}s before "
+                            f"reaching until={stop_time:.6g}s "
+                            f"({self.events_processed} event(s) processed, "
+                            f"0 pending)"
+                        )
+                    return None
+                if when > stop_time:
+                    self._now = stop_time
+                    return None
+                if watch is not None:
+                    watch.check(self, when)
+                # step(), inlined
+                event = heappop(queue)[2]
+                self._now = when
+                self.events_processed += 1
+                obs = self.obs
+                if obs is not None:
+                    obs.engine_step(when, len(queue))
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks or ():
+                    cb(event)
+                if not event._ok and not event._defused:
+                    # An unhandled failure: propagate to the driver of run().
+                    raise event._value
+        finally:
+            if collecting:
+                gc.enable()
 
     def run_all(self) -> float:
         """Run to exhaustion and return the final simulation time."""

@@ -13,6 +13,7 @@ per-event values in submission order, deterministic tie-breaking).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,14 +41,13 @@ class Event:
     Processes register themselves as callbacks by yielding the event.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Engine") -> None:
         self.env = env
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
         self._ok: bool = True
-        self._scheduled = False
         self._defused = False
 
     # -- state ---------------------------------------------------------
@@ -80,7 +80,11 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # Engine.schedule(self), inlined: every matched message and
+        # collective rendezvous triggers an event here.
+        env = self.env
+        env._seq += 1
+        heappush(env._queue, (env._now, env._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -106,16 +110,20 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ and Engine.schedule inlined: the DES creates
+        # more timeouts than any other event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        env._seq += 1
+        heappush(env._queue, (env._now + delay, env._seq, self))
 
 
 class _Condition(Event):

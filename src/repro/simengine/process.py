@@ -68,7 +68,6 @@ class Process(Event):
             # while its bootstrap event was still queued.  Resuming a
             # closed generator would double-trigger this event.
             return
-        self.env._active_process = self  # type: ignore[attr-defined]
         while True:
             try:
                 if event._ok:
@@ -106,4 +105,3 @@ class Process(Event):
                 break
             # Event already processed: loop and feed its value immediately.
             event = target
-        self.env._active_process = None  # type: ignore[attr-defined]

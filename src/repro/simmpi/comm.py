@@ -344,6 +344,14 @@ class Cluster:
 
     # -- hardware-collective synchronisation ---------------------------------
     def _next_sync(self, rank: int, kind: str) -> _OpSync:
+        """Count ``rank`` in at its next hardware collective.
+
+        Returns the op's rendezvous with ``rank`` already counted: the
+        rank that brings ``remaining`` to 0 starts the operation.  The
+        last arrival also drops the entry, since no rank looks that op
+        up again, so ``_op_syncs`` holds only ops still waiting for
+        ranks.
+        """
         recovery = self.recovery
         if recovery is not None and recovery.dead_ranks:
             # A world hardware collective can never complete once ranks
@@ -366,6 +374,9 @@ class Cluster:
                 f"collective mismatch at op {idx}: rank {rank} called "
                 f"{kind!r} but others called {sync.kind!r}"
             )
+        sync.remaining -= 1
+        if sync.remaining == 0:
+            del self._op_syncs[idx]
         return sync
 
 
@@ -643,7 +654,6 @@ class RankComm:
         if cl.barrier_net is not None:
             alg = "hw-barrier"
             sync = cl._next_sync(self.rank, "barrier")
-            sync.remaining -= 1
             if sync.remaining == 0:
                 wait_ev = cl.barrier_net.wait()
                 wait_ev.callbacks.append(lambda _e, s=sync: s.event.succeed())
@@ -664,7 +674,6 @@ class RankComm:
             mpi = self.machine.mpi
             yield self.env.timeout(mpi.send_overhead if self.rank == root else 0.0)
             sync = cl._next_sync(self.rank, "bcast")
-            sync.remaining -= 1
             if sync.remaining == 0:
                 dur = cl.tree.broadcast_time(nbytes)
                 if cl.mode.tasks_per_node > 1:
@@ -727,7 +736,6 @@ class RankComm:
             yield self.env.timeout(local)
         kind = "allreduce" if allreduce else "reduce"
         sync = cl._next_sync(self.rank, kind)
-        sync.remaining -= 1
         if sync.remaining == 0:
             dur = (
                 cl.tree.allreduce_time(nbytes, dtype)

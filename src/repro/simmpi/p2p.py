@@ -223,7 +223,9 @@ class Transport:
         #: completed send (``t_start`` = injection begins, ``t_end`` =
         #: the protocol's completion point).  This replaces the old
         #: practice of monkey-patching :meth:`send`; an empty list (the
-        #: default) adds no per-message work.
+        #: default) adds no per-message work.  :meth:`send` reads the
+        #: list when it is called, so a hook sees the sends started
+        #: after it was added.
         self._send_hooks: List[Callable[[int, int, int, int, float, float], None]] = []
         #: node of every rank the communicator (or the mapping) holds
         self._nodes: List[Coord] = [
@@ -368,7 +370,9 @@ class Transport:
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
         self._check_dead(src, dst, "send")
-        return self._send_observed(src, dst, nbytes, tag, payload)
+        if self._send_hooks:
+            return self._send_observed(src, dst, nbytes, tag, payload)
+        return self._send_impl(src, dst, nbytes, tag, payload)
 
     def _check_dead(self, src: int, dst: int, op: str) -> None:
         """ULFM: touching a dead rank raises at the initiating peer."""
@@ -386,9 +390,7 @@ class Transport:
             )
 
     def _send_observed(self, src: int, dst: int, nbytes: int, tag: int, payload: Any):
-        if not self._send_hooks:
-            yield from self._send_impl(src, dst, nbytes, tag, payload)
-            return
+        """:meth:`_send_impl`, then every send hook once at completion."""
         start = self.env.now
         yield from self._send_impl(src, dst, nbytes, tag, payload)
         end = self.env.now

@@ -4,6 +4,12 @@ Makes a bare ``python -m pytest`` work from a checkout by putting
 ``src/`` on ``sys.path`` ahead of any installed copy, and provides the
 ``sanitize_runs`` fixture that turns the simulation sanitizer on for
 every ``Cluster.run`` inside a test (see ``docs/linting.md``).
+
+Setting ``REPRO_SANITIZE=1`` applies that fixture to every test of the
+suite, wherever it lives: CI does this so deadlocks and request leaks
+introduced by new code fail loudly.  Tests that deliberately break a
+sanitizer invariant, or test the unsanitized path, opt out with
+``@pytest.mark.no_sanitize``.
 """
 
 import os
@@ -22,9 +28,20 @@ def sanitize_runs(monkeypatch):
 
     Deadlocks then raise :class:`repro.lint.DeadlockError` with the rank
     wait-graph, and leaked requests / unreceived sends raise at program
-    exit.  Opt whole suites in by setting ``REPRO_SANITIZE=1`` (see
-    ``tests/simmpi/conftest.py``).
+    exit.  ``REPRO_SANITIZE=1`` turns it on for every test.
     """
     from repro.lint import force_sanitize
 
     force_sanitize(monkeypatch)
+
+
+@pytest.fixture(autouse=True)
+def _sanitize_when_requested(request):
+    if os.environ.get("REPRO_SANITIZE") and "no_sanitize" not in request.keywords:
+        request.getfixturevalue("sanitize_runs")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "no_sanitize: skip the REPRO_SANITIZE autouse sanitizer"
+    )

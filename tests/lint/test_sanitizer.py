@@ -33,6 +33,7 @@ def test_two_rank_recv_recv_deadlock_is_reported():
     assert "wait cycle: 0 -> 1 -> 0" in text
 
 
+@pytest.mark.no_sanitize  # the unsanitized path is the point of the test
 def test_deadlock_without_sanitizer_keeps_generic_error():
     with pytest.raises(RuntimeError) as exc:
         make_cluster().run(recv_recv_deadlock)

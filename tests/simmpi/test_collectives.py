@@ -159,6 +159,27 @@ def test_two_sequential_collectives():
         assert t2 > t1
 
 
+def test_hardware_collectives_release_their_rendezvous():
+    """Each tree or barrier op drops its rendezvous when its last rank
+    arrives, so a long run holds none of them at the end."""
+    seen = []
+
+    def program(comm):
+        for _ in range(10):
+            yield from comm.allreduce(64, dtype="float64")
+            yield from comm.reduce(64, dtype="float64")
+            yield from comm.bcast(64)
+            yield from comm.barrier()
+            seen.append(len(comm.cluster._op_syncs))
+
+    cluster = Cluster(BGP, ranks=16, mode="VN")
+    cluster.run(program)
+    assert cluster._op_syncs == {}
+    # no rank passes an op before every rank has reached it, so at most
+    # one op is ever waiting for ranks
+    assert max(seen) <= 1
+
+
 def test_allreduce_scaling_with_ranks():
     def program(comm):
         yield from comm.allreduce(8192, dtype="float32")
