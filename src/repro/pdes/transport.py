@@ -120,8 +120,9 @@ class ShardTransport(Transport):
 
         yield self.env.timeout(mpi.send_overhead)
 
+        a, b = self._node(src), self._node(dst)
         if nbytes <= mpi.eager_threshold:
-            delay, _lost = self._network_transit(src, dst, nbytes)
+            delay, _lost = self._network_transit(a, b, nbytes)
             self._emit(
                 EAGER, self.env.now + delay, dst_shard,
                 src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload,
@@ -132,7 +133,7 @@ class ShardTransport(Transport):
         # bulk transfer complete.
         done = Event(self.env)
         envl = _Envelope(msg, sender_done=done)
-        rts_delay, _lost = self._network_transit(src, dst, 0)
+        rts_delay, _lost = self._network_transit(a, b, 0)
         send_id = (self.shard_id, self._seq + 1)  # the seq _emit assigns next
         self._emit(
             RTS, self.env.now + rts_delay, dst_shard,
@@ -143,7 +144,7 @@ class ShardTransport(Transport):
         yield done
 
     def _deliver_rendezvous(self, envelope: _Envelope, delay: float) -> None:
-        origin = getattr(envelope, "_pdes_origin", None)
+        origin = envelope.pdes_origin
         if origin is not None:
             send_id, origin_shard = origin
             self._emit(
@@ -174,8 +175,12 @@ class ShardTransport(Transport):
                 src=bev.src, dst=bev.dst, tag=bev.tag,
                 nbytes=bev.nbytes, payload=bev.payload,
             )
-            envl = _Envelope(msg, sender_done=Event(self.env))
-            envl._pdes_origin = (bev.send_id, bev.src_shard)
+            envl = _Envelope(
+                msg,
+                sender_done=Event(self.env),
+                nodes=(self._node(bev.src), self._node(bev.dst)),
+                pdes_origin=(bev.send_id, bev.src_shard),
+            )
             ev = Event(self.env)
             ev._ok = True
             ev._value = None

@@ -4,9 +4,17 @@
 Time is a ``float`` in **seconds** throughout the simulator; helper
 constants for microseconds etc. live in :data:`US` and friends.
 
-Determinism: events scheduled for the same timestamp are processed in
-scheduling order (a monotonically increasing sequence number breaks
-ties), so repeated runs of the same workload produce identical traces.
+Determinism: events are processed in (time, scheduling order), so
+repeated runs of the same workload produce identical traces.  The queue
+realizes that order without a sequence number.  Events due at the
+current time wait in one FIFO, ``_ready``; later events wait in a list
+per distinct time, in scheduling order, and a heap holds those times.
+When ``_ready`` runs dry the least time's list moves into it and the
+clock advances.  An event due at ``t`` was scheduled either before the
+clock reached ``t``, and so sits in ``t``'s list, or at ``t``, and so
+is appended to ``_ready`` behind that list.
+``tests/simengine/test_queue_order.py`` holds the queue to a plain
+``(time, seq)`` heap.
 
 Host cost: :meth:`Engine.run` pops and fires events inline, and holds
 Python's cyclic garbage collector off while it does.  The loop makes no
@@ -21,8 +29,9 @@ one-event reference.
 from __future__ import annotations
 
 import gc
-import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
 from .budget import Budget, _BudgetWatch
 from .events import AllOf, AnyOf, Event, Timeout
@@ -67,8 +76,14 @@ class Engine:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, Event]] = []
-        self._seq = 0
+        #: events due at ``_now``, in scheduling order
+        self._ready: Deque[Event] = deque()
+        #: heap of the distinct times after ``_now`` that have events
+        self._times: List[float] = []
+        #: each time in ``_times`` -> its events, in scheduling order
+        self._later: Dict[float, List[Event]] = {}
+        #: events ever scheduled; ``pending`` subtracts the processed ones
+        self._scheduled = 0
         #: Count of events processed; useful for cost accounting in tests.
         self.events_processed = 0
         #: Diagnostic hook consulted when :meth:`run` starves while an
@@ -118,17 +133,31 @@ class Engine:
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue ``event`` for processing ``delay`` seconds from now."""
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay: {delay!r}")
+        self._scheduled += 1
+        now = self._now
+        when = now + delay
+        if when == now:  # also a delay too small to move the clock
+            self._ready.append(event)
+            return
+        events = self._later.get(when)
+        if events is None:
+            self._later[when] = [event]
+            heappush(self._times, when)
+        else:
+            events.append(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else _INF
+        if self._ready:
+            return self._now
+        return self._times[0] if self._times else _INF
 
     @property
     def pending(self) -> int:
-        """Number of events currently scheduled (the heap depth)."""
-        return len(self._queue)
+        """Number of events currently scheduled (the queue depth)."""
+        return self._scheduled - self.events_processed
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
@@ -137,17 +166,20 @@ class Engine:
         other work (the sharded PDES).  :meth:`run` inlines the same
         steps; this method is the reference it is tested against.
         """
-        try:
-            when, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule(
-                f"no events to process at t={self._now:.6g}s "
-                f"({self.events_processed} event(s) processed so far)"
-            ) from None
-        self._now = when
+        ready = self._ready
+        if not ready:
+            if not self._times:
+                raise EmptySchedule(
+                    f"no events to process at t={self._now:.6g}s "
+                    f"({self.events_processed} event(s) processed so far)"
+                )
+            when = heappop(self._times)
+            ready.extend(self._later.pop(when))
+            self._now = when
+        event = ready.popleft()
         self.events_processed += 1
         if self.obs is not None:
-            self.obs.engine_step(when, len(self._queue))
+            self.obs.engine_step(self._now, self.pending)
         callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks or ():
             cb(event)
@@ -197,15 +229,20 @@ class Engine:
         collecting = gc.isenabled()
         if collecting:
             gc.disable()
-        queue = self._queue
-        heappop = heapq.heappop
+        ready = self._ready
+        popleft = ready.popleft
+        times = self._times
+        later = self._later
         try:
             while True:
                 if stop_event is not None and stop_event.callbacks is None:
                     if not stop_event.ok:
                         raise stop_event.value
                     return stop_event.value
-                when = queue[0][0] if queue else _INF
+                if ready:
+                    when = self._now
+                else:
+                    when = times[0] if times else _INF
                 if when == _INF:
                     if stop_event is not None:
                         if self.on_empty_schedule is not None:
@@ -229,13 +266,16 @@ class Engine:
                     return None
                 if watch is not None:
                     watch.check(self, when)
+                if not ready:
+                    heappop(times)
+                    ready.extend(later.pop(when))
+                    self._now = when
                 # step(), inlined
-                event = heappop(queue)[2]
-                self._now = when
+                event = popleft()
                 self.events_processed += 1
                 obs = self.obs
                 if obs is not None:
-                    obs.engine_step(when, len(queue))
+                    obs.engine_step(when, self._scheduled - self.events_processed)
                 callbacks, event.callbacks = event.callbacks, None
                 for cb in callbacks or ():
                     cb(event)

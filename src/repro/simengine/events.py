@@ -83,8 +83,8 @@ class Event:
         # Engine.schedule(self), inlined: every matched message and
         # collective rendezvous triggers an event here.
         env = self.env
-        env._seq += 1
-        heappush(env._queue, (env._now, env._seq, self))
+        env._scheduled += 1
+        env._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -113,8 +113,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         # Event.__init__ and Engine.schedule inlined: the DES creates
         # more timeouts than any other event.
         self.env = env
@@ -122,8 +122,19 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        env._seq += 1
-        heappush(env._queue, (env._now + delay, env._seq, self))
+        env._scheduled += 1
+        now = env._now
+        when = now + delay
+        if when == now:
+            env._ready.append(self)
+            return
+        later = env._later
+        events = later.get(when)
+        if events is None:
+            later[when] = [self]
+            heappush(env._times, when)
+        else:
+            events.append(self)
 
 
 class _Condition(Event):

@@ -407,13 +407,15 @@ class _RankPhase:
 class RankComm:
     """Per-rank communicator handle (the ``comm`` of a rank program)."""
 
-    __slots__ = ("cluster", "rank")
+    __slots__ = ("cluster", "rank", "env")
 
     def __init__(self, cluster: Cluster, rank: int) -> None:
         if not 0 <= rank < cluster.ranks:
             raise ValueError(f"rank {rank} outside [0, {cluster.ranks})")
         self.cluster = cluster
         self.rank = rank
+        #: the cluster's engine (a cluster never swaps it)
+        self.env: Engine = cluster.env
 
     # -- introspection -------------------------------------------------------
     @property
@@ -421,12 +423,8 @@ class RankComm:
         return self.cluster.ranks
 
     @property
-    def env(self) -> Engine:
-        return self.cluster.env
-
-    @property
     def now(self) -> float:
-        return self.cluster.env.now
+        return self.env.now
 
     @property
     def machine(self) -> MachineSpec:

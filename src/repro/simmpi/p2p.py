@@ -100,7 +100,7 @@ class ReliabilityPolicy:
             raise ValueError("ack_timeout must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A delivered message as seen by the receiver."""
 
@@ -114,22 +114,25 @@ class Message:
         return f"<Message {self.src}->{self.dst} tag={self.tag} {self.nbytes}B>"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Envelope:
     """Transport-internal: a message en route or awaiting a match."""
 
     msg: Message
-    #: eager: fires when the payload has fully arrived at the receiver
-    arrival: Optional[Event] = None
     #: rendezvous: fires (for the sender) when the transfer completes
     sender_done: Optional[Event] = None
+    #: rendezvous: the (source, destination) nodes, looked up at send time
+    nodes: Optional[Tuple[Coord, Coord]] = None
     #: rendezvous: True once the RTS control message has arrived
     rts_arrived: bool = False
     #: rendezvous: the matched receive's completion event
     matched_recv: Optional[Event] = None
+    #: sharded PDES: (send id, origin shard) of a rendezvous whose
+    #: sender lives on another shard
+    pdes_origin: Optional[Tuple[Tuple[int, int], int]] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _PostedRecv:
     src: int
     tag: int
@@ -142,47 +145,35 @@ class _PostedRecv:
 
 
 class _MatchQueue:
-    """Per-rank unexpected-message queue + posted-receive queue."""
+    """Per-rank unexpected-message queue + posted-receive queue.
 
-    __slots__ = ("env", "transport", "unexpected", "posted")
+    It only stores and matches; the transport pairs what it matches,
+    so a queue holds no reference back to the transport.
+    """
 
-    def __init__(self, env: Engine, transport: "Transport") -> None:
-        self.env = env
-        self.transport = transport
+    __slots__ = ("unexpected", "posted")
+
+    def __init__(self) -> None:
         self.unexpected: Deque[_Envelope] = deque()
         self.posted: Deque[_PostedRecv] = deque()
 
-    def post_recv(self, src: int, tag: int) -> Event:
-        """Post a receive; the returned event fires at data arrival."""
-        ev = Event(self.env)
-        pr = _PostedRecv(src, tag, ev)
+    def post_recv(self, pr: _PostedRecv) -> Optional[_Envelope]:
+        """Take the first unexpected message ``pr`` matches, else post it."""
         for i, envl in enumerate(self.unexpected):
             if pr.matches(envl.msg):
                 del self.unexpected[i]
-                self._pair(envl, ev)
-                return ev
+                return envl
         self.posted.append(pr)
-        return ev
+        return None
 
-    def incoming(self, envelope: _Envelope) -> None:
-        """An arrived message (or rendezvous RTS) is ready to match."""
+    def incoming(self, envelope: _Envelope) -> Optional[Event]:
+        """Take the first posted receive ``envelope`` matches, else queue it."""
         for i, pr in enumerate(self.posted):
             if pr.matches(envelope.msg):
                 del self.posted[i]
-                self._pair(envelope, pr.event)
-                return
+                return pr.event
         self.unexpected.append(envelope)
-
-    def _pair(self, envelope: _Envelope, recv_event: Event) -> None:
-        if envelope.sender_done is not None:
-            envelope.matched_recv = recv_event
-            self.transport._rendezvous_matched(envelope)
-        elif envelope.arrival is not None and not envelope.arrival.triggered:
-            envelope.arrival.callbacks.append(
-                lambda _e, e=envelope, r=recv_event: r.succeed(e.msg)
-            )
-        else:
-            recv_event.succeed(envelope.msg)
+        return None
 
 
 class Transport:
@@ -241,16 +232,27 @@ class Transport:
     def queue_of(self, rank: int) -> _MatchQueue:
         q = self.queues.get(rank)
         if q is None:
-            q = self.queues[rank] = _MatchQueue(self.env, self)
+            q = self.queues[rank] = _MatchQueue()
         return q
+
+    def _incoming(self, envelope: _Envelope) -> None:
+        """An arrived message (or rendezvous RTS) is ready to match."""
+        recv_event = self.queue_of(envelope.msg.dst).incoming(envelope)
+        if recv_event is not None:
+            self._pair(envelope, recv_event)
+
+    def _pair(self, envelope: _Envelope, recv_event: Event) -> None:
+        if envelope.sender_done is not None:
+            envelope.matched_recv = recv_event
+            self._rendezvous_matched(envelope)
+        else:
+            # An eager envelope is queued only once its arrival fired.
+            recv_event.succeed(envelope.msg)
 
     def _node(self, rank: int) -> Coord:
         if 0 <= rank < len(self._nodes):
             return self._nodes[rank]
         return self.mapping.node_of(rank)  # raises outside the mapping
-
-    def _same_node(self, a: int, b: int) -> bool:
-        return self._node(a) == self._node(b)
 
     def _healthy_path(self, a: Coord, b: Coord) -> Tuple[SerialLink, ...]:
         """Links of the dimension-order path ``a -> b`` (cached)."""
@@ -267,9 +269,10 @@ class Transport:
         return self.machine.node.memory.node_stream / 2.0
 
     def _network_transit(
-        self, src: int, dst: int, nbytes: int
+        self, a: Coord, b: Coord, nbytes: int
     ) -> Tuple[float, Optional[Tuple]]:
-        """Book a route now; return ``(delay, lost_at_link)``.
+        """Book a route from node ``a`` to node ``b`` now; return
+        ``(delay, lost_at_link)``.
 
         ``delay`` is the time until the message tail arrives at the
         destination (or dies).  ``lost_at_link`` is ``None`` for a
@@ -280,7 +283,6 @@ class Transport:
         disconnected the pair.
         """
         mpi = self.machine.mpi
-        a, b = self._node(src), self._node(dst)
         injector = self.fault_injector
         head = self.env.now + mpi.latency
         tail = head
@@ -302,11 +304,6 @@ class Transport:
                     return tail - self.env.now, key
         return tail - self.env.now, None
 
-    def _network_delivery_delay(self, src: int, dst: int, nbytes: int) -> float:
-        """Book the route now; return delay until the tail arrives."""
-        delay, _lost = self._network_transit(src, dst, nbytes)
-        return delay
-
     def _retry_timeout(self, nbytes: int, attempt: int) -> float:
         """Deterministic ack-timeout before retransmission ``attempt``."""
         rel = self.reliability
@@ -327,10 +324,7 @@ class Transport:
         ev._ok = True
         ev._value = envelope.msg
         self.env.schedule(ev, delay=delay)
-        envelope.arrival = ev
-        ev.callbacks.append(
-            lambda _e: self.queue_of(envelope.msg.dst).incoming(envelope)
-        )
+        ev.callbacks.append(lambda _e: self._incoming(envelope))
 
     # -- sends -------------------------------------------------------------
     def add_send_hook(
@@ -405,27 +399,26 @@ class Transport:
 
         yield self.env.timeout(mpi.send_overhead)
 
-        intranode = src != dst and self._same_node(src, dst)
         if src == dst:
-            envl = _Envelope(msg)
-            self._schedule_eager_arrival(envl, delay=0.0)
+            self._schedule_eager_arrival(_Envelope(msg), delay=0.0)
             return
-        if nbytes <= mpi.eager_threshold or intranode:
-            envl = _Envelope(msg)
-            if intranode:
-                self._schedule_eager_arrival(envl, self._shm_delivery_delay(nbytes))
-                return
-            yield from self._eager_network_send(envl)
+        a, b = self._node(src), self._node(dst)
+        if a == b:
+            self._schedule_eager_arrival(_Envelope(msg), self._shm_delivery_delay(nbytes))
+            return
+        if nbytes <= mpi.eager_threshold:
+            yield from self._eager_network_send(_Envelope(msg), a, b)
             return
 
-        # Rendezvous: RTS control message first, then the bulk transfer.
+        # Rendezvous (network only): RTS control message first, then the
+        # bulk transfer.
         done = Event(self.env)
-        envl = _Envelope(msg, sender_done=done)
+        envl = _Envelope(msg, sender_done=done, nodes=(a, b))
         rel = self.reliability
         attempt = 0
         while True:
             try:
-                rts_delay, lost = self._network_transit(src, dst, 0)
+                rts_delay, lost = self._network_transit(a, b, 0)
             except NoRouteError as exc:
                 self._record_kill()
                 raise FaultError(
@@ -455,14 +448,15 @@ class Transport:
             self._record_retry()
         yield done
 
-    def _eager_network_send(self, envelope: _Envelope):
-        """Eager-protocol network send, with retransmission if enabled."""
+    def _eager_network_send(self, envelope: _Envelope, a: Coord, b: Coord):
+        """Eager-protocol network send from node ``a`` to node ``b``, with
+        retransmission if enabled."""
         msg = envelope.msg
         rel = self.reliability
         attempt = 0
         while True:
             try:
-                delay, lost = self._network_transit(msg.src, msg.dst, msg.nbytes)
+                delay, lost = self._network_transit(a, b, msg.nbytes)
             except NoRouteError as exc:
                 self._record_kill()
                 raise FaultError(
@@ -515,33 +509,26 @@ class Transport:
                 )
                 done.defuse()
             return
-        self.queue_of(envelope.msg.dst).incoming(envelope)
+        self._incoming(envelope)
 
     def _rendezvous_matched(self, envelope: _Envelope) -> None:
-        """Both sides are ready (called by the match queue)."""
+        """Both sides are ready (called by :meth:`_pair`).
+
+        Rendezvous runs between nodes only: a send within a node goes
+        eager over shared memory.
+        """
         if not envelope.rts_arrived:  # pragma: no cover - defensive
             return
-        msg = envelope.msg
-        intranode = self._same_node(msg.src, msg.dst)
-        if not intranode and self.fault_injector is not None:
-            if self.reliability is not None:
-                self.env.process(self._reliable_rendezvous_transfer(envelope))
-                return
-            delay, lost = self._network_transit(msg.src, msg.dst, msg.nbytes)
-            if lost is not None:
-                # Transfer died in flight with nobody retransmitting:
-                # both sides hang (fault-kill, flagged by the sanitizer).
-                return
-            self._deliver_rendezvous(
-                envelope, self.machine.mpi.rendezvous_overhead + delay
-            )
+        if self.fault_injector is not None and self.reliability is not None:
+            self.env.process(self._reliable_rendezvous_transfer(envelope))
             return
-        delay = self.machine.mpi.rendezvous_overhead + (
-            self._shm_delivery_delay(msg.nbytes)
-            if intranode
-            else self._network_delivery_delay(msg.src, msg.dst, msg.nbytes)
-        )
-        self._deliver_rendezvous(envelope, delay)
+        a, b = envelope.nodes
+        delay, lost = self._network_transit(a, b, envelope.msg.nbytes)
+        if lost is not None:
+            # Transfer died in flight with nobody retransmitting:
+            # both sides hang (fault-kill, flagged by the sanitizer).
+            return
+        self._deliver_rendezvous(envelope, self.machine.mpi.rendezvous_overhead + delay)
 
     def _deliver_rendezvous(self, envelope: _Envelope, delay: float) -> None:
         msg = envelope.msg
@@ -565,10 +552,11 @@ class Transport:
         rel = self.reliability
         assert rel is not None
         yield self.env.timeout(self.machine.mpi.rendezvous_overhead)
+        a, b = envelope.nodes
         attempt = 0
         while True:
             try:
-                delay, lost = self._network_transit(msg.src, msg.dst, msg.nbytes)
+                delay, lost = self._network_transit(a, b, msg.nbytes)
             except NoRouteError as exc:
                 self._fail_rendezvous(
                     envelope,
@@ -629,4 +617,8 @@ class Transport:
             raise ValueError(f"tag must be >= 0 or ANY_TAG, got {tag}")
         if src != ANY_SOURCE:
             self._check_dead(src, dst, "recv")
-        return self.queue_of(dst).post_recv(src, tag)
+        ev = Event(self.env)
+        envelope = self.queue_of(dst).post_recv(_PostedRecv(src, tag, ev))
+        if envelope is not None:
+            self._pair(envelope, ev)
+        return ev

@@ -10,7 +10,7 @@ from ..simengine import Event
 __all__ = ["Request"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """Handle for an in-flight isend/irecv.
 

@@ -30,6 +30,25 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)  # simlint: ignore[yield-from-comm]
 
 
+@pytest.mark.parametrize("delay", [-1e-9, float("nan")])
+def test_schedule_and_timeout_reject_a_negative_or_nan_delay(delay):
+    env = Engine()
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), delay)
+    with pytest.raises(ValueError):
+        env.timeout(delay)  # simlint: ignore[yield-from-comm]
+    assert env.pending == 0 and env.peek() == float("inf")
+
+
+def test_an_infinite_delay_is_legal_and_never_due():
+    env = Engine()
+    env.schedule(env.event(), float("inf"))
+    env.timeout(float("inf"))  # simlint: ignore[yield-from-comm]
+    assert env.pending == 2 and env.peek() == float("inf")
+    env.run()
+    assert env.now == 0.0 and env.events_processed == 0 and env.pending == 2
+
+
 def test_run_until_time_stops_early():
     env = Engine()
 

@@ -121,6 +121,11 @@ def book_by_hand(torus, mapping, src, dst, nbytes, adaptive=False):
     return tail - now
 
 
+def transit(transport, mapping, src, dst, nbytes):
+    """``Transport._network_transit`` between the nodes of two ranks."""
+    return transport._network_transit(mapping.node_of(src), mapping.node_of(dst), nbytes)
+
+
 def link_state(torus):
     return {
         key: (link._free_at, link.transfers, link.bytes_carried, link.busy_time)
@@ -157,11 +162,11 @@ def test_transport_books_what_fresh_routes_book(shape, order, mode, data):
                 want = book_by_hand(twin, mapping, src, dst, nbytes)
             except NoRouteError:
                 with pytest.raises(NoRouteError):
-                    transport._network_transit(src, dst, nbytes)
+                    transit(transport, mapping, src, dst, nbytes)
                 continue
             a, b = mapping.node_of(src), mapping.node_of(dst)
             detours += any(k in twin.failed_links for k in healthy.route(a, b))
-            assert transport._network_transit(src, dst, nbytes) == (want, None)
+            assert transit(transport, mapping, src, dst, nbytes) == (want, None)
         assert link_state(torus) == link_state(twin)
         assert torus.detours == twin.detours
         return detours
@@ -206,6 +211,6 @@ def test_adaptive_transport_routes_every_message(shape, order, mode, data):
     transport = Transport(torus.env, torus, mapping, BGP, adaptive_routing=True)
     for src, dst, nbytes in data.draw(messages(mapping.size)):
         want = book_by_hand(twin, mapping, src, dst, nbytes, adaptive=True)
-        assert transport._network_transit(src, dst, nbytes) == (want, None)
+        assert transit(transport, mapping, src, dst, nbytes) == (want, None)
     assert link_state(torus) == link_state(twin)
     assert not transport._paths
