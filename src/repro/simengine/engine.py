@@ -266,12 +266,18 @@ class Engine:
                     return None
                 if watch is not None:
                     watch.check(self, when)
-                if not ready:
-                    heappop(times)
-                    ready.extend(later.pop(when))
-                    self._now = when
                 # step(), inlined
-                event = popleft()
+                if ready:
+                    event = popleft()
+                else:
+                    heappop(times)
+                    events = later.pop(when)
+                    self._now = when
+                    if len(events) == 1:  # a time of its own: skip the FIFO
+                        event = events[0]
+                    else:
+                        ready.extend(events)
+                        event = popleft()
                 self.events_processed += 1
                 obs = self.obs
                 if obs is not None:
