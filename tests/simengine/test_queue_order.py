@@ -37,7 +37,8 @@ _STOPS = st.lists(
     ),
     max_size=4,
 )
-#: events past this label schedule no children, so every program ends
+#: once this many events exist, firing events schedule no more children,
+#: so every program ends
 _MAX_LABELS = 120
 
 
