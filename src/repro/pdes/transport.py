@@ -33,6 +33,7 @@ conflicts occurred.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..simengine import Engine, Event
@@ -43,6 +44,14 @@ from .boundary import BoundaryEvent, EAGER, RTS, SENDER_DONE
 from .plan import ShardPlan
 
 __all__ = ["ShardTransport"]
+
+
+@dataclass(slots=True)
+class _ShardEnvelope(_Envelope):
+    """A rendezvous whose sender lives on another shard."""
+
+    #: (send id, origin shard), to address the ``sender_done`` event
+    pdes_origin: Optional[Tuple[Tuple[int, int], int]] = None
 
 
 class ShardTransport(Transport):
@@ -144,9 +153,8 @@ class ShardTransport(Transport):
         yield done
 
     def _deliver_rendezvous(self, envelope: _Envelope, delay: float) -> None:
-        origin = envelope.pdes_origin
-        if origin is not None:
-            send_id, origin_shard = origin
+        if isinstance(envelope, _ShardEnvelope):
+            send_id, origin_shard = envelope.pdes_origin
             self._emit(
                 SENDER_DONE, self.env.now + delay, origin_shard, send_id=send_id
             )
@@ -175,7 +183,7 @@ class ShardTransport(Transport):
                 src=bev.src, dst=bev.dst, tag=bev.tag,
                 nbytes=bev.nbytes, payload=bev.payload,
             )
-            envl = _Envelope(
+            envl = _ShardEnvelope(
                 msg,
                 sender_done=Event(self.env),
                 nodes=(self._node(bev.src), self._node(bev.dst)),

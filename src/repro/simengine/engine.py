@@ -267,17 +267,11 @@ class Engine:
                 if watch is not None:
                     watch.check(self, when)
                 # step(), inlined
-                if ready:
-                    event = popleft()
-                else:
+                if not ready:
                     heappop(times)
-                    events = later.pop(when)
+                    ready.extend(later.pop(when))
                     self._now = when
-                    if len(events) == 1:  # a time of its own: skip the FIFO
-                        event = events[0]
-                    else:
-                        ready.extend(events)
-                        event = popleft()
+                event = popleft()
                 self.events_processed += 1
                 obs = self.obs
                 if obs is not None:

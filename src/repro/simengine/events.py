@@ -13,7 +13,6 @@ per-event values in submission order, deterministic tie-breaking).
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -113,28 +112,14 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Engine", delay: float, value: Any = None) -> None:
-        if not delay >= 0:
-            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
-        # Event.__init__ and Engine.schedule inlined: the DES creates
-        # more timeouts than any other event.
+        # Event.__init__ inlined: the DES creates more timeouts than any
+        # other event.  Engine.schedule rejects a negative or NaN delay.
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._defused = False
-        env._scheduled += 1
-        now = env._now
-        when = now + delay
-        if when == now:
-            env._ready.append(self)
-            return
-        later = env._later
-        events = later.get(when)
-        if events is None:
-            later[when] = [self]
-            heappush(env._times, when)
-        else:
-            events.append(self)
+        env.schedule(self, delay)
 
 
 class _Condition(Event):

@@ -127,9 +127,6 @@ class _Envelope:
     rts_arrived: bool = False
     #: rendezvous: the matched receive's completion event
     matched_recv: Optional[Event] = None
-    #: sharded PDES: (send id, origin shard) of a rendezvous whose
-    #: sender lives on another shard
-    pdes_origin: Optional[Tuple[Tuple[int, int], int]] = None
 
 
 @dataclass(slots=True)
