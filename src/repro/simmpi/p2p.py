@@ -316,12 +316,78 @@ class Transport:
     def _shm_delivery_delay(self, nbytes: int) -> float:
         return 0.5 * self.machine.mpi.latency + nbytes / self.shm_bandwidth()
 
+    def _book(
+        self, a: Coord, b: Coord, nbytes: int, msg: Message, attempt: int = 0
+    ) -> Tuple[float, Optional[Tuple]]:
+        """:meth:`_network_transit` for one attempt at ``msg``.
+
+        The transport's one conversion of a
+        :class:`~repro.topology.torus.NoRouteError`: a pair that
+        failures have cut apart raises a :class:`FaultError` attributed
+        to ``msg``'s sender (one fault-kill).
+        """
+        try:
+            return self._network_transit(a, b, nbytes)
+        except NoRouteError as exc:
+            raise self._kill(msg, attempt, reason=str(exc)) from exc
+
+    def _transit(self, a: Coord, b: Coord, nbytes: int, msg: Message):
+        """Book ``nbytes`` for ``msg`` from node ``a`` to node ``b``
+        until a copy gets through, and return that copy's delay.
+
+        The one retransmit loop; the RTS, the eager payload and the
+        bulk transfer all run it.  Without a policy a loss returns
+        ``None``: nobody resends, so the loss is silent.  With one,
+        each resend waits out its ack timeout and counts one retry, and
+        running out of retries raises :class:`FaultError` (one
+        fault-kill), as :meth:`_book` does for a pair with no route.
+        """
+        rel = self.reliability
+        attempt = 0
+        while True:
+            delay, lost = self._book(a, b, nbytes, msg, attempt)
+            if lost is None:
+                return delay
+            if rel is None:
+                return None
+            if attempt >= rel.max_retries:
+                raise self._kill(msg, attempt, lost, "retries exhausted")
+            yield self.env.timeout(self._retry_timeout(nbytes, attempt))
+            attempt += 1
+            self._record_retry()
+
+    def _kill(
+        self, msg: Message, attempts: int, link: Optional[Tuple] = None, reason: str = ""
+    ) -> FaultError:
+        """Count one fault-kill and return the sender-attributed error."""
+        if self.fault_injector is not None:
+            self.fault_injector.record_kill()
+        return FaultError(
+            msg.src, msg.dst, msg.tag, msg.nbytes,
+            link=link, attempts=attempts, time=self.env.now, reason=reason,
+        )
+
+    def _record_retry(self) -> None:
+        if self.fault_injector is not None:
+            self.fault_injector.record_retry()
+
+    # -- arrivals ------------------------------------------------------------
+    # The only methods that schedule a message's arrival; the sharded
+    # transport overrides them to ship a cross-shard arrival instead.
     def _schedule_eager_arrival(self, envelope: _Envelope, delay: float) -> None:
-        ev = Event(self.env)
-        ev._ok = True
-        ev._value = envelope.msg
-        self.env.schedule(ev, delay=delay)
-        ev.callbacks.append(lambda _e: self._incoming(envelope))
+        self.env.timeout(delay, envelope.msg).callbacks.append(
+            lambda _e: self._incoming(envelope)
+        )
+
+    def _schedule_rts_arrival(self, envelope: _Envelope, delay: float) -> None:
+        self.env.timeout(delay).callbacks.append(
+            lambda _e: self._rts_arrived(envelope)
+        )
+
+    def _deliver_rendezvous(self, envelope: _Envelope, delay: float) -> None:
+        self.env.timeout(delay, envelope.msg).callbacks.append(
+            lambda _e: self._complete_rendezvous(envelope)
+        )
 
     # -- sends -------------------------------------------------------------
     def add_send_hook(
@@ -404,88 +470,24 @@ class Transport:
             self._schedule_eager_arrival(_Envelope(msg), self._shm_delivery_delay(nbytes))
             return
         if nbytes <= mpi.eager_threshold:
-            yield from self._eager_network_send(_Envelope(msg), a, b)
+            delay = yield from self._transit(a, b, nbytes, msg)
+            if delay is not None:
+                self._schedule_eager_arrival(_Envelope(msg), delay)
+                if self.reliability is not None:
+                    # Acked eager: the sender holds until the ack is back.
+                    yield self.env.timeout(delay + mpi.latency)
             return
 
         # Rendezvous (network only): RTS control message first, then the
         # bulk transfer.
         done = Event(self.env)
         envl = _Envelope(msg, sender_done=done, nodes=(a, b))
-        rel = self.reliability
-        attempt = 0
-        while True:
-            try:
-                rts_delay, lost = self._network_transit(a, b, 0)
-            except NoRouteError as exc:
-                self._record_kill()
-                raise FaultError(
-                    src, dst, tag, nbytes,
-                    attempts=attempt, time=self.env.now, reason=str(exc),
-                ) from exc
-            if lost is None:
-                rts_ev = Event(self.env)
-                rts_ev._ok = True
-                rts_ev._value = None
-                self.env.schedule(rts_ev, delay=rts_delay)
-                rts_ev.callbacks.append(lambda _e: self._rts_arrived(envl))
-                break
-            if rel is None:
-                # The RTS died and nobody will resend it; the sender
-                # blocks forever — the sanitizer reports the hang.
-                break
-            if attempt >= rel.max_retries:
-                self._record_kill()
-                raise FaultError(
-                    src, dst, tag, nbytes,
-                    link=lost, attempts=attempt, time=self.env.now,
-                    reason="retries exhausted",
-                )
-            yield self.env.timeout(self._retry_timeout(0, attempt))
-            attempt += 1
-            self._record_retry()
+        delay = yield from self._transit(a, b, 0, msg)
+        if delay is not None:
+            self._schedule_rts_arrival(envl, delay)
+        # else the RTS died and nobody will resend it; the sender blocks
+        # forever — the sanitizer reports the hang.
         yield done
-
-    def _eager_network_send(self, envelope: _Envelope, a: Coord, b: Coord):
-        """Eager-protocol network send from node ``a`` to node ``b``, with
-        retransmission if enabled."""
-        msg = envelope.msg
-        rel = self.reliability
-        attempt = 0
-        while True:
-            try:
-                delay, lost = self._network_transit(a, b, msg.nbytes)
-            except NoRouteError as exc:
-                self._record_kill()
-                raise FaultError(
-                    msg.src, msg.dst, msg.tag, msg.nbytes,
-                    attempts=attempt, time=self.env.now, reason=str(exc),
-                ) from exc
-            if lost is None:
-                self._schedule_eager_arrival(envelope, delay)
-                if rel is not None:
-                    # Acked eager: the sender holds until the ack is back.
-                    yield self.env.timeout(delay + self.machine.mpi.latency)
-                return
-            if rel is None:
-                return  # fire-and-forget: the loss is silent
-            if attempt >= rel.max_retries:
-                self._record_kill()
-                raise FaultError(
-                    msg.src, msg.dst, msg.tag, msg.nbytes,
-                    link=lost, attempts=attempt, time=self.env.now,
-                    reason="retries exhausted",
-                )
-            yield self.env.timeout(self._retry_timeout(msg.nbytes, attempt))
-            attempt += 1
-            self._record_retry()
-
-    def _record_retry(self) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.record_retry()
-
-    def _record_kill(self) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.record_kill()
 
     def _rts_arrived(self, envelope: _Envelope) -> None:
         envelope.rts_arrived = True
@@ -527,67 +529,32 @@ class Transport:
             return
         self._deliver_rendezvous(envelope, self.machine.mpi.rendezvous_overhead + delay)
 
-    def _deliver_rendezvous(self, envelope: _Envelope, delay: float) -> None:
-        msg = envelope.msg
-        ev = Event(self.env)
-        ev._ok = True
-        ev._value = msg
-        self.env.schedule(ev, delay=delay)
-
-        def _deliver(_e: Event) -> None:
-            recv = envelope.matched_recv
-            assert recv is not None and envelope.sender_done is not None
-            recv.succeed(msg)
-            if not envelope.sender_done.triggered:
-                envelope.sender_done.succeed()
-
-        ev.callbacks.append(_deliver)
+    def _complete_rendezvous(self, envelope: _Envelope) -> None:
+        """The bulk data has arrived: release the receiver and the sender."""
+        recv = envelope.matched_recv
+        assert recv is not None and envelope.sender_done is not None
+        recv.succeed(envelope.msg)
+        if not envelope.sender_done.triggered:
+            envelope.sender_done.succeed()
 
     def _reliable_rendezvous_transfer(self, envelope: _Envelope):
         """Retransmitting bulk transfer (runs as its own process)."""
-        msg = envelope.msg
-        rel = self.reliability
-        assert rel is not None
         yield self.env.timeout(self.machine.mpi.rendezvous_overhead)
         a, b = envelope.nodes
-        attempt = 0
-        while True:
-            try:
-                delay, lost = self._network_transit(a, b, msg.nbytes)
-            except NoRouteError as exc:
-                self._fail_rendezvous(
-                    envelope,
-                    FaultError(
-                        msg.src, msg.dst, msg.tag, msg.nbytes,
-                        attempts=attempt, time=self.env.now, reason=str(exc),
-                    ),
-                )
-                return
-            if lost is None:
-                yield self.env.timeout(delay)
-                recv = envelope.matched_recv
-                assert recv is not None and envelope.sender_done is not None
-                recv.succeed(msg)
-                if not envelope.sender_done.triggered:
-                    envelope.sender_done.succeed()
-                return
-            if attempt >= rel.max_retries:
-                self._fail_rendezvous(
-                    envelope,
-                    FaultError(
-                        msg.src, msg.dst, msg.tag, msg.nbytes,
-                        link=lost, attempts=attempt, time=self.env.now,
-                        reason="retries exhausted",
-                    ),
-                )
-                return
-            yield self.env.timeout(self._retry_timeout(msg.nbytes, attempt))
-            attempt += 1
-            self._record_retry()
+        msg = envelope.msg
+        try:
+            delay = yield from self._transit(a, b, msg.nbytes, msg)
+        except FaultError as err:
+            self._fail_rendezvous(envelope, err)
+            return
+        yield self.env.timeout(delay)
+        self._complete_rendezvous(envelope)
 
     def _fail_rendezvous(self, envelope: _Envelope, err: FaultError) -> None:
-        """Kill both sides of a rendezvous with sender-side attribution."""
-        self._record_kill()
+        """Kill both sides of a rendezvous with sender-side attribution.
+
+        ``err`` comes from :meth:`_kill`, which has counted the kill.
+        """
         recovery = self.recovery
         dead = recovery.dead_ranks if recovery is not None else ()
         if envelope.sender_done is not None and not envelope.sender_done.triggered:
