@@ -522,7 +522,11 @@ class Transport:
             self.env.process(self._reliable_rendezvous_transfer(envelope))
             return
         a, b = envelope.nodes
-        delay, lost = self._network_transit(a, b, envelope.msg.nbytes)
+        try:
+            delay, lost = self._book(a, b, envelope.msg.nbytes, envelope.msg)
+        except FaultError as err:
+            self._fail_rendezvous(envelope, err)
+            return
         if lost is not None:
             # Transfer died in flight with nobody retransmitting:
             # both sides hang (fault-kill, flagged by the sanitizer).

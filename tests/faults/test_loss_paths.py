@@ -142,6 +142,9 @@ CASES = {
     ("rendezvous", "none", "drop-2"): hang(EVENT_0, RECV),
     ("rendezvous", "none", "late-drop-1"): hang(EVENT_0, EVENT_1),
     ("rendezvous", "none", "late-drop-9"): hang(EVENT_0, EVENT_1),
+    # no policy, and the route is cut after the RTS arrived: both sides
+    # fail with the sender-attributed error, as with a policy
+    ("rendezvous", "none", "node-fail-recv-late"): lost(0, 0.002, NO_ROUTE),
     ("rendezvous", "none", "node-fail-send-late"): lost(0, 0.0020009, NO_ROUTE),
     ("rendezvous", "default", "node-fail"): lost(0, 9e-07, NO_ROUTE),
     ("rendezvous", "default", "drop-1"): done(
@@ -194,6 +197,10 @@ def one_message(comm, nbytes, send_at, recv_at):
         yield from comm.compute(seconds=recv_at)
         yield from comm.recv(src=0, tag=0)
     return comm.now
+
+
+def test_the_matrix_has_every_case():
+    assert len(CASES) == len(SIZES) * len(POLICIES) * len(FAULTS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES), ids="-".join)
