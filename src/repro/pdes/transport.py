@@ -3,9 +3,10 @@
 :class:`ShardTransport` subclasses the single-engine
 :class:`~repro.simmpi.p2p.Transport` and changes exactly one thing:
 what happens when a message's destination rank lives on another shard.
-Local traffic runs the base implementation unmodified (same protocols,
-same link bookings on this shard's torus replica), so a one-shard run
-*is* the single-engine run.
+Every send runs the base implementation (same protocols, same link
+bookings on this shard's torus replica); the subclass overrides only
+the three methods that schedule an arrival, so a one-shard run *is*
+the single-engine run and the two send paths cannot drift apart.
 
 Cross-shard traffic becomes :class:`~repro.pdes.boundary.BoundaryEvent`
 emissions, each timestamped with its exact effect time on the peer
@@ -85,72 +86,47 @@ class ShardTransport(Transport):
         kind: str,
         ts: float,
         dst_shard: int,
-        *,
-        src: int = -1,
-        dst: int = -1,
-        tag: int = 0,
-        nbytes: int = 0,
-        payload: Any = None,
+        msg: Optional[Message] = None,
         send_id: Optional[Tuple[int, int]] = None,
-    ) -> BoundaryEvent:
+    ) -> None:
         self._seq += 1
-        bev = BoundaryEvent(
-            kind=kind,
-            ts=ts,
-            src_shard=self.shard_id,
-            dst_shard=dst_shard,
-            seq=self._seq,
-            src=src,
-            dst=dst,
-            tag=tag,
-            nbytes=nbytes,
-            payload=payload,
-            send_id=send_id,
+        fields: Dict[str, Any] = {}
+        if msg is not None:
+            fields = dict(
+                src=msg.src, dst=msg.dst, tag=msg.tag,
+                nbytes=msg.nbytes, payload=msg.payload,
+            )
+        self.outbox.append(
+            BoundaryEvent(
+                kind=kind, ts=ts, src_shard=self.shard_id, dst_shard=dst_shard,
+                seq=self._seq, send_id=send_id, **fields,
+            )
         )
-        self.outbox.append(bev)
-        return bev
 
     def drain_outbox(self) -> List[BoundaryEvent]:
         out, self.outbox = self.outbox, []
         return out
 
-    # -- sends -------------------------------------------------------------
-    def _send_impl(self, src: int, dst: int, nbytes: int, tag: int, payload: Any):
-        if self._is_local(dst):
-            yield from super()._send_impl(src, dst, nbytes, tag, payload)
+    # -- arrivals ------------------------------------------------------------
+    def _schedule_eager_arrival(self, envelope: _Envelope, delay: float) -> None:
+        msg = envelope.msg
+        if self._is_local(msg.dst):
+            super()._schedule_eager_arrival(envelope, delay)
             return
-        # Cross-shard: same node implies same shard, so the destination
-        # is on a different node — always a network transfer.
-        mpi = self.machine.mpi
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        msg = Message(src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
-        dst_shard = self.plan.rank_shards[dst]
+        self._emit(EAGER, self.env.now + delay, self.plan.rank_shards[msg.dst], msg)
 
-        yield self.env.timeout(mpi.send_overhead)
-
-        a, b = self._node(src), self._node(dst)
-        if nbytes <= mpi.eager_threshold:
-            delay, _lost = self._network_transit(a, b, nbytes)
-            self._emit(
-                EAGER, self.env.now + delay, dst_shard,
-                src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload,
-            )
+    def _schedule_rts_arrival(self, envelope: _Envelope, delay: float) -> None:
+        msg = envelope.msg
+        if self._is_local(msg.dst):
+            super()._schedule_rts_arrival(envelope, delay)
             return
-
-        # Rendezvous: ship the RTS, park until the peer reports the
-        # bulk transfer complete.
-        done = Event(self.env)
-        envl = _Envelope(msg, sender_done=done)
-        rts_delay, _lost = self._network_transit(a, b, 0)
+        # Ship the RTS and park the sender's envelope until the peer
+        # reports the bulk transfer complete.
         send_id = (self.shard_id, self._seq + 1)  # the seq _emit assigns next
         self._emit(
-            RTS, self.env.now + rts_delay, dst_shard,
-            src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload,
-            send_id=send_id,
+            RTS, self.env.now + delay, self.plan.rank_shards[msg.dst], msg, send_id
         )
-        self._parked[send_id] = envl
-        yield done
+        self._parked[send_id] = envelope
 
     def _deliver_rendezvous(self, envelope: _Envelope, delay: float) -> None:
         if isinstance(envelope, _ShardEnvelope):
@@ -172,39 +148,27 @@ class ShardTransport(Transport):
             raise AssertionError(
                 f"boundary event in the past: ts={bev.ts} < now={self.env.now}"
             )
+        if bev.kind == SENDER_DONE:
+            done = self._parked.pop(bev.send_id).sender_done
+
+            def _release(_e: Event) -> None:
+                if not done.triggered:
+                    done.succeed()
+
+            self.env.timeout(delay).callbacks.append(_release)
+            return
+        msg = Message(
+            src=bev.src, dst=bev.dst, tag=bev.tag, nbytes=bev.nbytes, payload=bev.payload
+        )
         if bev.kind == EAGER:
-            msg = Message(
-                src=bev.src, dst=bev.dst, tag=bev.tag,
-                nbytes=bev.nbytes, payload=bev.payload,
-            )
             self._schedule_eager_arrival(_Envelope(msg), delay)
         elif bev.kind == RTS:
-            msg = Message(
-                src=bev.src, dst=bev.dst, tag=bev.tag,
-                nbytes=bev.nbytes, payload=bev.payload,
-            )
             envl = _ShardEnvelope(
                 msg,
                 sender_done=Event(self.env),
                 nodes=(self._node(bev.src), self._node(bev.dst)),
                 pdes_origin=(bev.send_id, bev.src_shard),
             )
-            ev = Event(self.env)
-            ev._ok = True
-            ev._value = None
-            self.env.schedule(ev, delay=delay)
-            ev.callbacks.append(lambda _e, e=envl: self._rts_arrived(e))
-        elif bev.kind == SENDER_DONE:
-            envl = self._parked.pop(bev.send_id)
-            ev = Event(self.env)
-            ev._ok = True
-            ev._value = None
-            self.env.schedule(ev, delay=delay)
-
-            def _release(_e: Event, done=envl.sender_done) -> None:
-                if done is not None and not done.triggered:
-                    done.succeed()
-
-            ev.callbacks.append(_release)
+            self._schedule_rts_arrival(envl, delay)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown boundary event kind {bev.kind!r}")
