@@ -25,10 +25,11 @@ two runs with the same seed produce byte-identical traces.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..simengine import Engine, Event
+from ..simengine import Engine
 from .plan import FaultPlan, LinkDegrade, LinkDrop, LinkFail, NodeFail
 
 __all__ = ["FaultInjector", "FaultStats"]
@@ -84,12 +85,20 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.stats = FaultStats()
-        self.cluster: Optional[Any] = None
+        #: the attached cluster, held weakly: the cluster holds this
+        #: injector, so a strong reference back would keep a dropped
+        #: cluster alive until a cyclic collection
+        self._cluster: Optional["weakref.ReferenceType[Any]"] = None
         #: earliest permanent-failure instant per directed link
         self._fail_time: Dict[LinkRef, float] = {}
         #: transient corruption windows per directed link
         self._drop_windows: Dict[LinkRef, List[_DropWindow]] = {}
         self._attached = False
+
+    @property
+    def cluster(self) -> Optional[Any]:
+        """The attached cluster, or ``None`` (never attached, or dropped)."""
+        return self._cluster() if self._cluster is not None else None
 
     # -- wiring ------------------------------------------------------------
     def attach(self, cluster: Any) -> "FaultInjector":
@@ -97,7 +106,7 @@ class FaultInjector:
         if self._attached:
             raise RuntimeError("a FaultInjector is single-use; make a new one")
         self._attached = True
-        self.cluster = cluster
+        self._cluster = weakref.ref(cluster)
         cluster.transport.fault_injector = self
         torus = cluster.torus
         env: Engine = cluster.env
@@ -109,7 +118,9 @@ class FaultInjector:
                 self._drop_windows.setdefault((a, b), []).append(
                     _DropWindow(time=ev.time, remaining=ev.count)
                 )
-            self._at(env, ev.time, ev)
+            env.timeout(max(0.0, ev.time - env.now)).callbacks.append(
+                lambda _e, f=ev: self._apply(f)
+            )
         return self
 
     def _index_failure(self, torus: Any, ev: Any) -> None:
@@ -126,14 +137,6 @@ class FaultInjector:
             t = self._fail_time.get(key)
             if t is None or ev.time < t:
                 self._fail_time[key] = ev.time
-
-    def _at(self, env: Engine, time: float, fault: Any) -> None:
-        """Schedule ``fault`` to be applied at absolute sim time ``time``."""
-        ev = Event(env)
-        ev._ok = True
-        ev._value = None
-        env.schedule(ev, delay=max(0.0, time - env.now))
-        ev.callbacks.append(lambda _e, f=fault: self._apply(f))
 
     # -- applying faults ---------------------------------------------------
     def _apply(self, fault: Any) -> None:
@@ -160,12 +163,7 @@ class FaultInjector:
                 {"link": _label(fault.link), "factor": fault.factor},
             )
             if fault.duration is not None:
-                env = self.cluster.env
-                ev = Event(env)
-                ev._ok = True
-                ev._value = None
-                env.schedule(ev, delay=fault.duration)
-                ev.callbacks.append(
+                self.cluster.env.timeout(fault.duration).callbacks.append(
                     lambda _e, link=fault.link: self._restore(link)
                 )
         elif isinstance(fault, LinkDrop):

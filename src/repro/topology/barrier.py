@@ -47,11 +47,7 @@ class BarrierNetwork:
         if self.env is None:
             raise RuntimeError("barrier was built without an engine")
         self.operations += 1
-        ev = Event(self.env)
-        ev._ok = True
-        ev._value = None
-        self.env.schedule(ev, delay=self.barrier_time())
-        return ev
+        return self.env.timeout(self.barrier_time())
 
 
 def software_barrier_time(num_ranks: int, mpi_latency: float) -> float:

@@ -94,8 +94,4 @@ class TreeNetwork:
         finish = start + duration
         self._free_at = finish
         self.operations += 1
-        ev = Event(self.env)
-        ev._ok = True
-        ev._value = None
-        self.env.schedule(ev, delay=finish - now)
-        return ev
+        return self.env.timeout(finish - now)

@@ -6,8 +6,8 @@ Three properties keep the loop's speed from costing anything:
   ``gc.isenabled()`` as it found it, on every way out;
 * the DES runs it drives make no reference cycles, so holding the
   collector off frees nothing later than reference counting would, and
-  a dropped cluster without a fault injector frees by reference
-  counting alone;
+  a dropped cluster, with or without a fault injector, frees by
+  reference counting alone;
 * it processes the same events in the same (time, sequence) order as
   ``Engine.step``, the one-event reference, driven by hand.
 """
@@ -214,11 +214,6 @@ _RUNS = {
 }
 
 
-#: runs whose cluster is no reference cycle once dropped (a cluster with
-#: a fault injector attached still is one, through ``injector.cluster``)
-_PLAIN = ("allreduce-software", "halo", "ring-rendezvous", "tree")
-
-
 @pytest.mark.parametrize("steps", [2, 8])
 @pytest.mark.parametrize("name", sorted(_RUNS))
 def test_des_runs_leave_no_cyclic_garbage(collector, name, steps):
@@ -229,9 +224,8 @@ def test_des_runs_leave_no_cyclic_garbage(collector, name, steps):
     cluster, result = run(steps)
     assert gc.collect() == 0, f"{name}: the run left cyclic garbage"
     assert result.elapsed > 0 and cluster.env.events_processed > 0
-    if name in _PLAIN:
-        del cluster, result
-        assert gc.collect() == 0, f"{name}: the dropped cluster is a reference cycle"
+    del cluster, result
+    assert gc.collect() == 0, f"{name}: the dropped cluster is a reference cycle"
 
 
 # ---------------------------------------------------------------------------
