@@ -258,7 +258,7 @@ class Engine:
                             f"schedule drained at t={self._now:.6g}s before "
                             f"reaching until={stop_time:.6g}s "
                             f"({self.events_processed} event(s) processed, "
-                            f"0 pending)"
+                            f"{self.pending} pending)"
                         )
                     return None
                 if when > stop_time:

@@ -47,6 +47,8 @@ def test_an_infinite_delay_is_legal_and_never_due():
     assert env.pending == 2 and env.peek() == float("inf")
     env.run()
     assert env.now == 0.0 and env.events_processed == 0 and env.pending == 2
+    with pytest.raises(EmptySchedule, match="2 pending"):
+        env.run(until=5.0)
 
 
 def test_run_until_time_stops_early():
