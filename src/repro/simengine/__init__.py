@@ -18,7 +18,7 @@ from .budget import Budget, BudgetExceeded, BudgetSummary
 from .engine import EmptySchedule, Engine, MS, NS, US
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .process import Process
-from .resources import Channel, Resource, SerialLink
+from .resources import SerialLink
 from .rng import DEFAULT_SEED, derive_seed, make_rng, spawn
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Process",
-    "Resource",
-    "Channel",
     "SerialLink",
     "make_rng",
     "spawn",

@@ -1,106 +1,19 @@
-"""Shared, contended resources for the simulation.
+"""The contended network link of the simulation.
 
-Three primitives cover everything the network and node models need:
-
-* :class:`Resource` — a counted semaphore with a FIFO wait queue.
-  Models NIC injection ports, DMA engines, per-core issue slots.
-* :class:`Channel` — an unbounded FIFO message queue with blocking
-  ``get``.  Models matching queues in the simulated MPI layer.
-* :class:`SerialLink` — a bandwidth-serialized pipe: each transfer
-  occupies the link for ``bytes / bandwidth`` seconds, transfers are
-  FIFO.  Models a directed network link (torus hop, tree uplink).
-  Link occupancy statistics are recorded for utilisation reports.
+:class:`SerialLink` is a bandwidth-serialized pipe: each transfer
+occupies the link for ``bytes / bandwidth`` seconds, and transfers are
+FIFO.  It models a directed network link (a torus hop) and records
+occupancy statistics for utilisation reports.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Optional, Tuple, TYPE_CHECKING
-
-from .events import Event
+from typing import Any, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
 
-__all__ = ["Resource", "Channel", "SerialLink"]
-
-
-class Resource:
-    """Counted semaphore with FIFO queuing.
-
-    ``request()`` returns an event that triggers when a unit is granted;
-    ``release()`` frees a unit.  Use :meth:`acquire` from process code::
-
-        yield res.request()
-        try:
-            ...
-        finally:
-            res.release()
-    """
-
-    def __init__(self, env: "Engine", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def request(self) -> Event:
-        """Return an event granting one unit of the resource."""
-        ev = Event(self.env)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return one unit; the longest-waiting requester is granted."""
-        if self.in_use <= 0:
-            raise RuntimeError("release() without a matching request()")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests currently waiting."""
-        return len(self._waiters)
-
-
-class Channel:
-    """Unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks.  ``get`` returns an event whose value is the
-    next item (items are delivered in put order).
-    """
-
-    def __init__(self, env: "Engine") -> None:
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that resolves to the next item in FIFO order."""
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._items)
+__all__ = ["SerialLink"]
 
 
 class SerialLink:
@@ -110,9 +23,7 @@ class SerialLink:
     busy waits until all earlier transfers have drained.  This is the
     classic store-level contention model — accurate enough to reproduce
     mapping/contention effects (paper Fig. 2c,d) without flit-level cost.
-
-    ``transfer(nbytes)`` returns an event that triggers when the *tail*
-    of the message has left the link.
+    :meth:`book` reserves the link for one transit and schedules nothing.
     """
 
     __slots__ = (
@@ -157,27 +68,6 @@ class SerialLink:
         #: observability layer plugs in here; ``None`` costs nothing.
         self.observer: Optional[Any] = None
 
-    def transfer(self, nbytes: float) -> Event:
-        """Schedule ``nbytes`` through the link; event fires at completion."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        now = self.env.now
-        start = max(now, self._free_at)
-        duration = nbytes / self.bandwidth
-        finish = start + self.latency + duration
-        self._free_at = start + duration  # latency is pipelined, bw is not
-        self.busy_time += duration
-        self.transfers += 1
-        self.bytes_carried += int(nbytes)
-        if self.observer is not None:
-            self.observer(float(nbytes), start, start - now, duration)
-        ev = Event(self.env)
-        # Trigger via a timeout-like direct schedule.
-        ev._ok = True
-        ev._value = None
-        self.env.schedule(ev, delay=finish - now)
-        return ev
-
     def book(self, nbytes: float, earliest: float) -> Tuple[float, float]:
         """Reserve the link for a cut-through transit without an event.
 
@@ -198,11 +88,6 @@ class SerialLink:
         if self.observer is not None:
             self.observer(float(nbytes), start, start - earliest, duration)
         return start + self.latency, start + self.latency + duration
-
-    def earliest_finish(self, nbytes: float) -> float:
-        """Predict (without booking) when a transfer would complete."""
-        start = max(self.env.now, self._free_at)
-        return start + self.latency + nbytes / self.bandwidth
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of ``elapsed`` (default: sim time so far) spent busy."""

@@ -1,107 +1,10 @@
-"""Unit tests for Resource, Channel and SerialLink."""
+"""Unit tests for SerialLink."""
 
 import pytest
 
-from repro.simengine import Channel, Engine, Resource, SerialLink
+from repro.simengine import Engine, SerialLink
 
 
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
-def test_resource_capacity_validation():
-    env = Engine()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_resource_grants_up_to_capacity():
-    env = Engine()
-    res = Resource(env, capacity=2)
-    assert res.request().triggered
-    assert res.request().triggered
-    third = res.request()
-    assert not third.triggered
-    assert res.queue_length == 1
-
-
-def test_resource_release_wakes_waiter_fifo():
-    env = Engine()
-    res = Resource(env, capacity=1)
-    res.request()
-    w1 = res.request()
-    w2 = res.request()
-    res.release()
-    assert w1.triggered and not w2.triggered
-    res.release()
-    assert w2.triggered
-
-
-def test_resource_release_without_request_raises():
-    env = Engine()
-    with pytest.raises(RuntimeError):
-        Resource(env).release()
-
-
-def test_resource_serializes_processes():
-    env = Engine()
-    res = Resource(env, capacity=1)
-    spans = []
-
-    def worker(env, res, hold):
-        yield res.request()
-        start = env.now
-        yield env.timeout(hold)
-        res.release()
-        spans.append((start, env.now))
-
-    env.process(worker(env, res, 2.0))
-    env.process(worker(env, res, 3.0))
-    env.run()
-    assert spans == [(0.0, 2.0), (2.0, 5.0)]
-
-
-# ---------------------------------------------------------------------------
-# Channel
-# ---------------------------------------------------------------------------
-def test_channel_put_then_get():
-    env = Engine()
-    ch = Channel(env)
-    ch.put("x")
-    ev = ch.get()
-    assert ev.triggered and ev.value == "x"
-
-
-def test_channel_get_blocks_until_put():
-    env = Engine()
-    ch = Channel(env)
-    got = []
-
-    def consumer(env, ch):
-        msg = yield ch.get()
-        got.append((env.now, msg))
-
-    def producer(env, ch):
-        yield env.timeout(5.0)
-        ch.put("hello")
-
-    env.process(consumer(env, ch))
-    env.process(producer(env, ch))
-    env.run()
-    assert got == [(5.0, "hello")]
-
-
-def test_channel_fifo_order():
-    env = Engine()
-    ch = Channel(env)
-    for i in range(5):
-        ch.put(i)
-    assert [ch.get().value for _ in range(5)] == [0, 1, 2, 3, 4]
-    assert len(ch) == 0
-
-
-# ---------------------------------------------------------------------------
-# SerialLink
-# ---------------------------------------------------------------------------
 def test_link_validation():
     env = Engine()
     with pytest.raises(ValueError):
@@ -109,36 +12,7 @@ def test_link_validation():
     with pytest.raises(ValueError):
         SerialLink(env, bandwidth=1e9, latency=-1)
     with pytest.raises(ValueError):
-        SerialLink(env, bandwidth=1e9).transfer(-5)
-
-
-def test_link_transfer_time():
-    env = Engine()
-    link = SerialLink(env, bandwidth=1e9, latency=1e-6)
-
-    def proc(env, link):
-        yield link.transfer(1e6)  # 1 MB at 1 GB/s = 1 ms
-
-    env.process(proc(env, link))
-    env.run()
-    assert env.now == pytest.approx(1e-3 + 1e-6)
-
-
-def test_link_serializes_transfers():
-    env = Engine()
-    link = SerialLink(env, bandwidth=1e9)
-    done = []
-
-    def proc(env, link, name):
-        yield link.transfer(1e6)
-        done.append((name, env.now))
-
-    env.process(proc(env, link, "a"))
-    env.process(proc(env, link, "b"))
-    env.run()
-    # Second transfer waits for the first to drain.
-    assert done[0][1] == pytest.approx(1e-3)
-    assert done[1][1] == pytest.approx(2e-3)
+        SerialLink(env, bandwidth=1e9).book(-5, earliest=0.0)
 
 
 def test_link_book_cut_through_semantics():
