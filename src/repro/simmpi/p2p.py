@@ -354,7 +354,8 @@ class Transport:
                 raise self._kill(msg, attempt, lost, "retries exhausted")
             yield self.env.timeout(self._retry_timeout(nbytes, attempt))
             attempt += 1
-            self._record_retry()
+            # a loss implies an injector: it made the drop decision
+            self.fault_injector.record_retry()
 
     def _kill(
         self, msg: Message, attempts: int, link: Optional[Tuple] = None, reason: str = ""
@@ -366,10 +367,6 @@ class Transport:
             msg.src, msg.dst, msg.tag, msg.nbytes,
             link=link, attempts=attempts, time=self.env.now, reason=reason,
         )
-
-    def _record_retry(self) -> None:
-        if self.fault_injector is not None:
-            self.fault_injector.record_retry()
 
     # -- arrivals ------------------------------------------------------------
     # The only methods that schedule a message's arrival; the sharded
