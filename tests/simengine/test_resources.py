@@ -15,6 +15,41 @@ def test_link_validation():
         SerialLink(env, bandwidth=1e9).book(-5, earliest=0.0)
 
 
+def _transfer(env, link, nbytes):
+    """Book ``nbytes`` on ``link`` now and wait until its tail has left."""
+    _, tail = link.book(nbytes, earliest=env.now)
+    yield env.timeout(tail - env.now)
+
+
+def test_link_transfer_time():
+    env = Engine()
+    link = SerialLink(env, bandwidth=1e9, latency=1e-6)
+
+    def proc(env, link):
+        yield from _transfer(env, link, 1e6)  # 1 MB at 1 GB/s = 1 ms
+
+    env.process(proc(env, link))
+    env.run()
+    assert env.now == pytest.approx(1e-3 + 1e-6)
+
+
+def test_link_serializes_transfers():
+    env = Engine()
+    link = SerialLink(env, bandwidth=1e9)
+    done = []
+
+    def proc(env, link, name):
+        yield from _transfer(env, link, 1e6)
+        done.append((name, env.now))
+
+    env.process(proc(env, link, "a"))
+    env.process(proc(env, link, "b"))
+    env.run()
+    # Second transfer waits for the first to drain.
+    assert done[0] == ("a", pytest.approx(1e-3))
+    assert done[1] == ("b", pytest.approx(2e-3))
+
+
 def test_link_book_cut_through_semantics():
     env = Engine()
     link = SerialLink(env, bandwidth=1e9, latency=1e-6)
