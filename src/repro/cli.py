@@ -32,7 +32,7 @@ Usage::
     python -m repro bench list           # registered micro-benchmarks
     python -m repro bench run -o out/    # time the suite -> BENCH_<host>.json
     python -m repro bench compare base.json new.json --fail-over 15%
-    python -m repro bench profile allreduce   # host-side self-profile
+    python -m repro bench profile pop    # host time by layer + hotspots
 """
 
 from __future__ import annotations
@@ -223,17 +223,15 @@ def _run_campaign(runner, tracer, **kwargs):
         return runner.run(**kwargs)
 
 
-def _scenario(args: argparse.Namespace, command: str, prog: str, within=None):
+def _scenario(args: argparse.Namespace, command: str, prog: str):
     """``--list`` one command's scenarios, or run the one ``args`` names.
 
     ``command`` keys the scenario table (trace, faults, recover) and
-    ``prog`` names the subcommand in errors; ``within`` is an optional
-    context the run happens in.  Returns ``(exit code, tracer)``: the
-    tracer is ``None`` unless a scenario ran, whose result line is then
-    printed.  A missing or unknown id or a bad ``--param`` exits 2.
+    ``prog`` names the subcommand in errors.  Returns ``(exit code,
+    tracer)``: the tracer is ``None`` unless a scenario ran, whose
+    result line is then printed.  A missing or unknown id or a bad
+    ``--param`` exits 2.
     """
-    import contextlib
-
     from .obs.scenarios import run_scenario, scenario_ids
 
     if args.list_scenarios:
@@ -245,8 +243,7 @@ def _scenario(args: argparse.Namespace, command: str, prog: str, within=None):
         return 2, None
     try:
         params = _parse_params(args.params)
-        with within or contextlib.nullcontext():
-            tracer, result_line = run_scenario(args.scenario, command, **params)
+        tracer, result_line = run_scenario(args.scenario, command, **params)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2, None
@@ -763,16 +760,21 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def _cmd_bench_profile(args: argparse.Namespace) -> int:
     from .obs import summary, write_chrome_trace
-    from .perf import HostProfiler, profiling
+    from .perf import HostProfiler
 
-    profiler = HostProfiler(cprofile=not args.no_cprofile, top=args.top)
-    code, tracer = _scenario(args, "trace", "bench profile", within=profiling(profiler))
+    with HostProfiler(top=args.top) as profiler:
+        code, tracer = _scenario(args, "trace", "bench profile")
     if tracer is None:
         return code
-    profiler.finalize()
+    profiler.export(tracer)
     out = args.output or f"{args.scenario}.profile.trace.json"
     print(f"wrote {write_chrome_trace(tracer, out)}")
-    print(profiler.report(top=args.top))
+    counters = tracer.metrics.to_dict()["counters"]
+    print(
+        f"{counters.get('engine.events', 0)} engine events, "
+        f"{counters.get('mpi.messages', 0)} messages"
+    )
+    print(profiler.report())
     if not args.no_summary:
         print(summary(tracer, n=args.top))
     return 0
@@ -1349,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bprof = bench_sub.add_parser(
         "profile",
-        help="self-profile a traced scenario (host phases + cProfile hotspots)",
+        help="self-profile a traced scenario (host time by layer + hotspots)",
     )
     _add_scenario_args(p_bprof, "nbytes=65536")
     p_bprof.add_argument(
@@ -1359,10 +1361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bprof.add_argument(
         "-n", "--top", type=int, default=10,
         help="hotspot/summary rows (default: 10)",
-    )
-    p_bprof.add_argument(
-        "--no-cprofile", action="store_true",
-        help="skip the cProfile capture (phase/engine timing only)",
     )
     p_bprof.add_argument(
         "--no-summary", action="store_true", help="skip the ASCII summary"

@@ -82,10 +82,11 @@ def write_metrics(tracer: Tracer, path: Union[str, pathlib.Path]) -> pathlib.Pat
 def summary(tracer: Tracer, n: int = 10) -> str:
     """Top-N attribution digest: spans by total time, links by bytes.
 
-    Host-side spans recorded by :class:`repro.perf.HostProfiler`
-    (``host:`` name prefix) measure wall-clock of the simulator
-    itself, not simulated time — they are kept out of the simulated
-    attribution and reported in their own section.
+    Host-side spans written by :meth:`repro.perf.HostProfiler.export`
+    (``host:`` name prefix: per-layer self time and hotspots) measure
+    wall-clock of the simulator itself, not simulated time — they are
+    kept out of the simulated attribution and reported in their own
+    section.
     """
     sim_totals = {
         name: ct

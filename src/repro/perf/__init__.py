@@ -7,10 +7,10 @@ complement of :mod:`repro.obs`, which observes *simulated* time):
   :mod:`repro.perf.harness`) running registered DES micro-benchmarks
   and the ``benchmarks/bench_*.py`` scripts into schema-validated
   ``BENCH_<host>.json`` snapshots (:mod:`repro.perf.snapshot`);
-* a self-profiler (:mod:`repro.perf.profiler`) layering host phase
-  timers, engine-step cost, and opt-in cProfile hotspots over the
-  supported observation hooks — exported next to the simulated spans
-  in the Chrome trace;
+* a self-profiler (:mod:`repro.perf.profiler`): one cProfile capture
+  of any block, its self time rolled up by ``repro`` layer (outside
+  code billed to its callers) plus the top-N hotspots, exported next
+  to the simulated spans in the Chrome trace;
 * a compare/gate engine (:mod:`repro.perf.compare`) with noise-aware
   tolerances, used by CI to fail PRs that regress against a committed
   baseline (``repro bench compare base.json new.json --fail-over 15%``).
@@ -28,7 +28,7 @@ from .harness import (
     SLOWDOWN_ENV,
 )
 from .hostclock import host_counter, host_counter_ns, HostClock
-from .profiler import active_profiler, HOST_PID, HostProfiler, profiling
+from .profiler import HOST_PID, HostProfiler
 from .snapshot import (
     BenchEntry,
     host_fingerprint,
@@ -67,8 +67,6 @@ __all__ = [
     "SLOWDOWN_ENV",
     # profiler
     "HostProfiler",
-    "active_profiler",
-    "profiling",
     "HOST_PID",
     # compare
     "BenchDelta",

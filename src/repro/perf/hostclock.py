@@ -2,10 +2,10 @@
 
 The engine promises identical traces across runs, so ``repro lint``
 flags every wall-clock read in the tree as a ``determinism-hazard``.
-Host-side *observability* (the benchmark harness, the self-profiler,
-the campaign trace anchor) legitimately needs the wall clock — but
-scattering per-line suppressions hides real mistakes, so all of it
-funnels through this one module instead.
+Host-side *observability* (the benchmark harness, the campaign trace
+anchor) legitimately needs the wall clock — but scattering per-line
+suppressions hides real mistakes, so all of it funnels through this
+one module instead.
 
 ``repro.lint.hygiene_rules`` whitelists exactly this file
 (:data:`~repro.lint.hygiene_rules.HOST_TIME_MODULES`): the clock reads

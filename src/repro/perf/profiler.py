@@ -1,341 +1,199 @@
-"""Host-side self-profiler for simulated runs.
+"""Host self-profiler: where the simulator's own wall time goes, by layer.
 
-``repro.obs`` observes *simulated* time; this profiler observes where
-the simulator's own **host** wall-time goes while it runs, layered over
-the same supported hook points (the engine's per-step ``obs`` hook and
-``Transport.add_send_hook``) plus an opt-in ``cProfile`` capture.
+``repro.obs`` observes *simulated* time; :class:`HostProfiler`
+observes the **host** time of whatever runs inside it — a DES scenario,
+an analytic artifact, a campaign job — with one stdlib ``cProfile``
+capture::
 
-Enable per run (``Cluster.run(program, profile=True)`` — the profiler
-comes back on ``ClusterResult.profile``) or ambiently
-(``with profiling(HostProfiler()):``, the way ``repro bench profile``
-wraps scenarios that build their own clusters).  Zero cost when
-disabled: an unprofiled run attaches nothing and calls nothing.
+    with HostProfiler(top=10) as prof:
+        run_experiment("fig2")
+    print(prof.report())
 
-When the cluster also has a tracer attached, host cost is exported as
-an extra Chrome-trace pid (:data:`HOST_PID`) so simulated spans and
-the host time that produced them are visible side by side in Perfetto:
+:meth:`HostProfiler.layers` rolls self time up by ``repro`` package
+(``halo``, ``topology``, ``simengine``, ``simmpi``, ``obs``, ...; each
+application under ``apps/`` is its own ``apps.<app>`` layer).  Code
+outside ``repro`` — numpy, builtins, the import machinery — is no
+layer of its own: its self time goes to the layers of its callers, in
+proportion to the time each caller spent in it, and up through chains
+of outside callers until a ``repro`` frame is reached.
+Time that reaches no ``repro`` caller is reported as ``external``.
 
-* tid 0 ``phases`` — spawn/run phase spans,
-* tid 1 ``engine`` — batched per-step host cost (one span per
-  ``stride`` engine steps),
-* tid 2 ``hotspots`` — the top-N cProfile entries laid out by
-  cumulative time (opt-in via ``cprofile=True``).
-
-Host spans carry a ``host:`` name prefix and ``host.*`` categories;
-the ASCII ``repro.obs.summary`` keeps them out of the simulated-span
-attribution and reports them in their own section.  Timestamps on the
-host pid are host seconds since the profiler's anchor — a profiled
-trace is therefore *not* byte-identical across runs (profiling is an
-explicit opt-in; the determinism guarantee covers unprofiled runs).
+:meth:`HostProfiler.export` writes the layer table and the top-N
+hotspots as ``host:`` spans on :data:`HOST_PID` of a tracer, laid out
+as ranked bars from t=0; ``repro.obs.summary`` keeps them out of the
+simulated attribution.  Host timings vary from run to run, so an
+exported trace is not byte-identical; an unprofiled run records
+nothing.
 """
 
 from __future__ import annotations
 
 import cProfile
-import pstats
-from typing import Any, Dict, List, Optional, Tuple
+import os
+from collections import defaultdict
+from typing import Any, Dict, List, Tuple
 
-from .hostclock import HostClock
+__all__ = ["HostProfiler", "HOST_PID"]
 
-__all__ = ["HostProfiler", "HostPhase", "active_profiler", "profiling", "HOST_PID"]
-
-#: Synthetic Chrome-trace pid hosting the host-side cost tracks,
-#: alongside obs's engine/network pids and the campaign pid.
-HOST_PID = 1000003
+#: Synthetic Chrome-trace pid hosting the host-side cost tracks, after
+#: obs's engine/network pids and the campaign, recovery and serve pids.
+HOST_PID = 1000005
 
 #: Thread ids within the host pid.
-TID_PHASES = 0
-TID_ENGINE = 1
-TID_HOTSPOTS = 2
+TID_LAYERS = 0
+TID_HOTSPOTS = 1
+
+#: ``.../repro/`` as the import system spelled it, which is how the
+#: profiled code objects name their files; each file under it belongs
+#: to a layer
+_ROOT = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+#: Passes of the caller roll-up.  Each pass lifts outside time one
+#: caller up; nested imports cycle through the import machinery and
+#: reach their ``repro`` importers geometrically, so after 64 passes
+#: about 1e-4 of a cold run's outside time is still in flight, and
+#: is reported as ``external``.
+_ROUNDS = 64
+
+#: A cProfile key: ``(filename, line, function)``.
+_Key = Tuple[str, int, str]
 
 
-class HostPhase:
-    """Context manager timing one named host-side phase."""
-
-    __slots__ = ("profiler", "name", "_t0")
-
-    def __init__(self, profiler: "HostProfiler", name: str) -> None:
-        self.profiler = profiler
-        self.name = name
-        self._t0 = 0.0
-
-    def __enter__(self) -> "HostPhase":
-        self._t0 = self.profiler.clock.elapsed()
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        self.profiler._phase_done(self.name, self._t0)
-        return False
+def _layer(filename: str) -> str:
+    """The ``repro`` layer of a source file, or ``""`` outside ``repro``."""
+    if not filename.startswith(_ROOT):
+        return ""
+    parts = filename[len(_ROOT):].split(os.sep)
+    if parts[0] == "apps" and len(parts) > 2:
+        return f"apps.{parts[1]}"
+    if len(parts) > 1:
+        return parts[0]
+    # a top-level module: cli, or the package's __init__/__main__
+    stem = parts[0][: -len(".py")]
+    return "repro" if stem.startswith("__") else stem
 
 
 class HostProfiler:
-    """Measures the host cost of one (or several sequential) runs.
+    """A ``cProfile`` capture of a ``with`` block, rolled up by layer.
 
     Parameters
     ----------
-    cprofile:
-        Also capture a ``cProfile`` of everything between attach and
-        detach; hotspots land in :meth:`report` and on the trace.
-    stride:
-        Aggregate per-engine-step host cost into one span per
-        ``stride`` steps (bounds trace size on long runs).
     top:
-        How many hotspot rows :meth:`report` and the trace carry.
+        How many hotspot rows :meth:`report` and :meth:`export` carry.
+
+    Entering the block again adds to the same capture.  Read the
+    results after the block: building them stops the capture.
     """
 
-    def __init__(self, cprofile: bool = False, stride: int = 2048, top: int = 10) -> None:
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.clock = HostClock()
-        self.stride = stride
+    def __init__(self, top: int = 10) -> None:
         self.top = top
-        #: total engine steps observed
-        self.steps = 0
-        #: host seconds attributed to the engine event loop
-        self.engine_seconds = 0.0
-        #: transport send operations observed
-        self.sends = 0
-        #: phase name -> [count, total host seconds]
-        self.phase_totals: Dict[str, List[float]] = {}
-        self._cprofile = cProfile.Profile() if cprofile else None
-        self._cprofile_active = False
-        self._hotspots: Optional[List[Tuple[str, float, float, int]]] = None
-        self._cluster: Optional[Any] = None
-        self._inner_obs: Optional[Any] = None
-        self._tracer: Optional[Any] = None
-        self._batch_t0 = 0.0
-        self._batch_first_step = 0
-        self._last_step_t = 0.0
+        #: the raw capture, for ``pstats`` or any cProfile viewer
+        self.profile = cProfile.Profile()
 
-    # -- attachment -----------------------------------------------------------
-    def attach(self, cluster) -> "HostProfiler":
-        """Hook into a cluster (engine obs chain + transport send hook).
-
-        The profiler *chains*: a tracer already installed on
-        ``Engine.obs`` keeps receiving every callback, forwarded from
-        here.  Re-attaching to the same cluster is a no-op; attaching
-        to a new cluster (sequential runs) accumulates into the same
-        totals.
-        """
-        if self._cluster is cluster:
-            return self
-        if self._cluster is not None:
-            self.detach()
-        self._cluster = cluster
-        self._inner_obs = cluster.env.obs
-        cluster.env.obs = self
-        cluster.transport.add_send_hook(self._on_send)
-        self._tracer = cluster.tracer
-        if self._tracer is not None:
-            self._tracer.set_process_name(HOST_PID, "host self-profile")
-            self._tracer.set_thread_name(HOST_PID, TID_PHASES, "phases")
-            self._tracer.set_thread_name(HOST_PID, TID_ENGINE, "engine")
-            self._tracer.set_thread_name(HOST_PID, TID_HOTSPOTS, "hotspots")
-        self._batch_t0 = self.clock.elapsed()
-        self._last_step_t = self._batch_t0
-        self._batch_first_step = self.steps
-        if self._cprofile is not None and not self._cprofile_active:
-            self._cprofile_active = True
-            self._cprofile.enable()
+    def __enter__(self) -> "HostProfiler":
+        self.profile.enable()
         return self
 
-    def detach(self) -> None:
-        """Unhook from the current cluster (totals are kept)."""
-        cluster = self._cluster
-        if cluster is None:
-            return
-        if self._cprofile is not None and self._cprofile_active:
-            self._cprofile.disable()
-            self._cprofile_active = False
-        self._flush_engine_batch(final=True)
-        if cluster.env.obs is self:
-            cluster.env.obs = self._inner_obs
-        cluster.transport.remove_send_hook(self._on_send)
-        self._cluster = None
-        self._inner_obs = None
+    def __exit__(self, *_exc: Any) -> None:
+        self.profile.disable()
 
-    # -- engine obs chain -----------------------------------------------------
-    def engine_step(self, now: float, queue_depth: int) -> None:
-        t = self.clock.elapsed()
-        self.engine_seconds += t - self._last_step_t
-        self._last_step_t = t
-        self.steps += 1
-        if self.steps - self._batch_first_step >= self.stride:
-            self._flush_engine_batch(queue_depth=queue_depth)
-        inner = self._inner_obs
-        if inner is not None:
-            inner.engine_step(now, queue_depth)
+    def _stats(self) -> Dict[_Key, Any]:
+        self.profile.create_stats()
+        return self.profile.stats
 
-    def process_spawned(self, env, proc) -> None:
-        inner = self._inner_obs
-        if inner is not None:
-            inner.process_spawned(env, proc)
+    def layers(self) -> Dict[str, float]:
+        """Self seconds per layer, largest first; they sum to the
+        capture's total self time."""
+        stats = self._stats()
+        totals: Dict[str, float] = defaultdict(float)
+        pending: Dict[_Key, float] = {}
+        for key, (_cc, _nc, tt, _ct, _callers) in stats.items():
+            layer = _layer(key[0])
+            if layer:
+                totals[layer] += tt
+            elif tt > 0:
+                pending[key] = tt
+        # A function's own self time splits by the self time each caller
+        # saw (caller entry index 2); time passed up through it splits by
+        # each caller's cumulative time in it (index 3).
+        weight = 2
+        for _ in range(_ROUNDS):
+            if not pending:
+                break
+            lifted: Dict[_Key, float] = defaultdict(float)
+            for key, seconds in pending.items():
+                callers = [
+                    (caller, entry[weight])
+                    for caller, entry in stats[key][4].items()
+                    if caller != key and entry[weight] > 0
+                ]
+                share = sum(w for _, w in callers)
+                if share <= 0:
+                    totals["external"] += seconds
+                    continue
+                for caller, w in callers:
+                    part = seconds * w / share
+                    layer = _layer(caller[0])
+                    if layer:
+                        totals[layer] += part
+                    else:
+                        lifted[caller] += part
+            pending = lifted
+            weight = 3
+        if pending:
+            totals["external"] += sum(pending.values())
+        return dict(sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])))
 
-    def _flush_engine_batch(
-        self, queue_depth: Optional[int] = None, final: bool = False
-    ) -> None:
-        steps = self.steps - self._batch_first_step
-        if steps <= 0:
-            return
-        t = self.clock.elapsed()
-        tracer = self._tracer
-        if tracer is not None:
-            args: Dict[str, Any] = {
-                "steps": steps,
-                "first_step": self._batch_first_step,
-            }
-            if queue_depth is not None:
-                args["queue_depth"] = queue_depth
-            tracer.complete(
-                HOST_PID,
-                "host:engine-steps",
-                self._batch_t0,
-                t,
-                cat="host.engine",
-                args=args,
-                tid=TID_ENGINE,
-            )
-        self._batch_t0 = t
-        self._batch_first_step = self.steps
-
-    # -- transport hook -------------------------------------------------------
-    def _on_send(
-        self, src: int, dst: int, nbytes: int, tag: int, start: float, end: float
-    ) -> None:
-        self.sends += 1
-
-    # -- phases ---------------------------------------------------------------
-    def phase(self, name: str) -> HostPhase:
-        """Time a named host phase (``with prof.phase("run"): ...``)."""
-        return HostPhase(self, name)
-
-    def _phase_done(self, name: str, t0: float) -> None:
-        t = self.clock.elapsed()
-        tot = self.phase_totals.get(name)
-        if tot is None:
-            tot = self.phase_totals[name] = [0, 0.0]
-        tot[0] += 1
-        tot[1] += t - t0
-        if self._tracer is not None:
-            self._tracer.complete(
-                HOST_PID,
-                f"host:{name}",
-                t0,
-                t,
-                cat="host.phase",
-                tid=TID_PHASES,
-            )
-
-    # -- hotspots -------------------------------------------------------------
     def hotspots(self) -> List[Tuple[str, float, float, int]]:
-        """Top-N ``(where, cumulative_s, self_s, calls)`` by cumulative.
-
-        Empty without ``cprofile=True``.  Computed once, on first use
-        after the capture stops.
-        """
-        if self._hotspots is not None:
-            return self._hotspots
-        if self._cprofile is None:
-            self._hotspots = []
-            return self._hotspots
-        if self._cprofile_active:
-            self._cprofile.disable()
-            self._cprofile_active = False
-        stats = pstats.Stats(self._cprofile)
-        rows: List[Tuple[str, float, float, int]] = []
-        for (filename, line, func), (cc, nc, tt, ct, _callers) in stats.stats.items():
-            where = f"{func} ({filename.rsplit('/', 1)[-1]}:{line})"
-            rows.append((where, ct, tt, nc))
+        """Top-N ``(where, self_s, cumulative_s, calls)`` by self time."""
+        rows = [
+            (f"{func} ({os.path.basename(filename)}:{line})", tt, ct, nc)
+            for (filename, line, func), (_cc, nc, tt, ct, _callers)
+            in self._stats().items()
+        ]
         rows.sort(key=lambda r: (-r[1], r[0]))
-        self._hotspots = rows[: self.top]
-        return self._hotspots
+        return rows[: self.top]
 
-    def finalize(self) -> None:
-        """Close the capture and export hotspot spans to the tracer.
-
-        Hotspot spans are laid out sequentially by cumulative time on
-        the host pid's ``hotspots`` thread — a ranked cost bar chart,
-        not a timeline.
-        """
+    def report(self) -> str:
+        """ASCII digest: the layer table, then the top-N hotspots."""
+        layers = self.layers()
+        total = sum(layers.values())
+        lines = [
+            f"== host self-profile: {total:.4f} s self time "
+            "(cProfile, outside code billed to its callers) ==",
+            f"  {'layer':<16} {'self s':>9} {'share':>7}",
+        ]
+        for layer, seconds in layers.items():
+            share = seconds / total if total > 0 else 0.0
+            lines.append(f"  {layer:<16} {seconds:9.4f} {share:7.1%}")
         rows = self.hotspots()
-        tracer = self._tracer
-        if tracer is None or not rows:
-            return
-        cursor = 0.0
-        for where, cumulative, self_s, calls in rows:
-            tracer.complete(
-                HOST_PID,
-                f"host:{where}",
-                cursor,
-                cursor + cumulative,
-                cat="host.hotspot",
-                args={"calls": calls, "self_s": round(self_s, 6)},
-                tid=TID_HOTSPOTS,
+        lines.append(f"== top {len(rows)} hotspots (by self time) ==")
+        for where, self_s, cumulative, calls in rows:
+            lines.append(
+                f"  {self_s:8.4f} s self  {cumulative:8.4f} s cum  "
+                f"{calls:>8} calls  {where}"
             )
-            cursor += cumulative
-
-    # -- reporting ------------------------------------------------------------
-    def report(self, top: Optional[int] = None) -> str:
-        """ASCII digest: totals, phases, and (with cProfile) hotspots."""
-        lines = ["== host self-profile =="]
-        wall = self.clock.elapsed()
-        rate = self.steps / self.engine_seconds if self.engine_seconds > 0 else 0.0
-        lines.append(f"  host wall time    {wall:.4f} s")
-        lines.append(
-            f"  engine steps      {self.steps} "
-            f"({rate:,.0f} steps/s host)" if self.steps else "  engine steps      0"
-        )
-        lines.append(f"  engine host time  {self.engine_seconds:.4f} s")
-        lines.append(f"  transport sends   {self.sends}")
-        if self.phase_totals:
-            lines.append("  phases:")
-            for name in sorted(self.phase_totals):
-                count, total = self.phase_totals[name]
-                lines.append(f"    {name:<14} {int(count):>4} x  {total:.4f} s")
-        rows = self.hotspots()
-        if rows:
-            n = top if top is not None else self.top
-            lines.append(f"  top {min(n, len(rows))} hotspots (cProfile, by cumulative):")
-            for where, cumulative, self_s, calls in rows[:n]:
-                lines.append(
-                    f"    {cumulative:8.4f} s cum  {self_s:8.4f} s self  "
-                    f"{calls:>8} calls  {where}"
-                )
-        elif self._cprofile is None:
-            lines.append("  (cProfile capture disabled; pass cprofile=True for hotspots)")
         return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# Ambient profiler (used by `repro bench profile` so scenario code that
-# constructs its own Clusters is profiled without plumbing changes).
-# ---------------------------------------------------------------------------
-_ACTIVE: List[HostProfiler] = []
-
-
-def active_profiler() -> Optional[HostProfiler]:
-    """The innermost ambient profiler, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-class profiling:
-    """Context manager installing an ambient :class:`HostProfiler`.
-
-    Every :meth:`Cluster.run` entered inside the context attaches the
-    profiler automatically (mirroring :class:`repro.obs.tracing`)::
-
-        prof = HostProfiler(cprofile=True)
-        with profiling(prof):
-            run_scenario("allreduce")
-        print(prof.report())
-    """
-
-    def __init__(self, profiler: HostProfiler) -> None:
-        self.profiler = profiler
-
-    def __enter__(self) -> HostProfiler:
-        _ACTIVE.append(self.profiler)
-        return self.profiler
-
-    def __exit__(self, *_exc) -> None:
-        _ACTIVE.pop()
+    def export(self, tracer: Any) -> None:
+        """Write the layers and hotspots as ``host:`` spans on
+        :data:`HOST_PID`, each track laid out as ranked bars from 0."""
+        tracer.set_process_name(HOST_PID, "host self-profile")
+        tracer.set_thread_name(HOST_PID, TID_LAYERS, "layers")
+        tracer.set_thread_name(HOST_PID, TID_HOTSPOTS, "hotspots")
+        cursor = 0.0
+        for layer, seconds in self.layers().items():
+            tracer.complete(
+                HOST_PID, f"host:{layer}", cursor, cursor + seconds,
+                cat="host.layer", tid=TID_LAYERS,
+            )
+            cursor += seconds
+        cursor = 0.0
+        for where, self_s, cumulative, calls in self.hotspots():
+            tracer.complete(
+                HOST_PID, f"host:{where}", cursor, cursor + self_s,
+                cat="host.hotspot",
+                args={"calls": calls, "cum_s": round(cumulative, 6)},
+                tid=TID_HOTSPOTS,
+            )
+            cursor += self_s

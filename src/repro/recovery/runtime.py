@@ -38,6 +38,7 @@ two identical runs produce byte-identical traces even while recovering.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -179,7 +180,10 @@ class RecoveryRuntime:
         )
         #: restart-attempt ordinal of this runtime (0 = first try)
         self.attempt = attempt
-        self.cluster: Optional[Any] = None
+        #: the attached cluster, held weakly: the cluster holds this
+        #: runtime, so a strong reference back would keep a dropped
+        #: cluster alive until a cyclic collection
+        self._cluster: Optional["weakref.ReferenceType[Any]"] = None
         #: world ranks known dead
         self.dead_ranks: Set[int] = set()
         #: bumped once per node failure; SubComms remember the
@@ -206,6 +210,11 @@ class RecoveryRuntime:
 
     # -- wiring ------------------------------------------------------------
     @property
+    def cluster(self) -> Optional[Any]:
+        """The attached cluster, or ``None`` (never attached, or dropped)."""
+        return self._cluster() if self._cluster is not None else None
+
+    @property
     def env(self) -> Engine:
         assert self.cluster is not None, "runtime is not attached"
         return self.cluster.env
@@ -215,7 +224,7 @@ class RecoveryRuntime:
         if self._attached:
             raise RuntimeError("a RecoveryRuntime is single-use; make a new one")
         self._attached = True
-        self.cluster = cluster
+        self._cluster = weakref.ref(cluster)
         cluster.recovery = self
         cluster.transport.recovery = self
         self._last_cut = cluster.env.now

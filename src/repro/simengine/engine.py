@@ -92,12 +92,10 @@ class Engine:
         #: (the simulation sanitizer plugs in here), or ``None`` to keep
         #: the default behaviour.
         self.on_empty_schedule: Optional[Callable[[], Optional[BaseException]]] = None
-        #: Observability hook (a :class:`repro.obs.Tracer` or anything
-        #: with ``engine_step``/``process_spawned``).  ``None`` (the
-        #: default) keeps the event loop allocation-free.  Observers
-        #: that want to stack (e.g. :class:`repro.perf.HostProfiler`
-        #: over a tracer) must save the current value and forward both
-        #: callbacks to it — the engine itself only ever calls one.
+        #: Observability hook: the attached :class:`repro.obs.Tracer`
+        #: (anything with ``engine_step``/``process_spawned``), or
+        #: ``None`` (the default), which keeps the event loop
+        #: allocation-free.  The engine calls one observer.
         self.obs: Optional[Any] = None
 
     # -- clock -----------------------------------------------------------

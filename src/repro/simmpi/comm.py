@@ -73,10 +73,6 @@ class ClusterResult:
     #: ``None``; its ``times()`` give the clean/lost/rework/overhead
     #: decomposition of ``elapsed``
     recovery: Optional[Any] = None
-    #: the run's :class:`~repro.perf.HostProfiler` when host
-    #: self-profiling was enabled (``Cluster.run(..., profile=True)``
-    #: or an ambient ``repro.perf.profiling`` context), else ``None``
-    profile: Optional[Any] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -174,7 +170,6 @@ class Cluster:
         faults: Optional[Any] = None,
         recovery: Optional[Any] = None,
         budget: Optional[Any] = None,
-        profile: Any = False,
     ) -> ClusterResult:
         """Execute ``program(comm, *args)`` on every rank to completion.
 
@@ -205,16 +200,6 @@ class Cluster:
         ``budget`` (a :class:`~repro.simengine.Budget`) bounds the run;
         exceeding it raises :class:`~repro.simengine.BudgetExceeded`
         enriched with a partial-result summary.
-
-        ``profile`` enables *host-side* self-profiling: pass ``True``
-        for a fresh :class:`~repro.perf.HostProfiler` (or pass one,
-        e.g. ``HostProfiler(cprofile=True)`` for hotspots); it comes
-        back on ``ClusterResult.profile`` with spawn/drive phase
-        timings, per-step engine host cost, and — when the run is also
-        traced — host spans on an extra Chrome-trace pid.  An ambient
-        :func:`repro.perf.profiling` context enables the same without
-        the flag.  Disabled profiling costs nothing: no hook is
-        installed and no host clock is read.
         """
         if faults is not None and self.fault_injector is None:
             from ..faults import FaultInjector, FaultPlan
@@ -241,19 +226,6 @@ class Cluster:
                 ambient.attach(self)
             elif trace:
                 Tracer().attach(self)
-        prof = None
-        ambient_prof = False
-        if profile:
-            from ..perf.profiler import HostProfiler
-
-            prof = profile if isinstance(profile, HostProfiler) else HostProfiler()
-        else:
-            from ..perf.profiler import active_profiler
-
-            prof = active_profiler()
-            ambient_prof = prof is not None
-        if prof is not None:
-            prof.attach(self)
         san = None
         if sanitize:
             from ..lint.sanitizer import Sanitizer
@@ -267,32 +239,18 @@ class Cluster:
         bytes0 = self.transport.bytes_sent
         try:
             procs: List[Process] = []
-            if prof is not None:
-                with prof.phase("spawn"):
-                    for r in range(self.ranks):
-                        comm = RankComm(self, r)
-                        procs.append(self.env.process(program(comm, *args)))
-            else:
-                for r in range(self.ranks):
-                    comm = RankComm(self, r)
-                    procs.append(self.env.process(program(comm, *args)))
+            for r in range(self.ranks):
+                comm = RankComm(self, r)
+                procs.append(self.env.process(program(comm, *args)))
             if self.recovery is not None:
                 self.recovery.begin_run(procs)
             done = self.env.all_of(procs)
-            drive_phase = prof.phase("drive") if prof is not None else None
             if san is not None:
                 san.attach(procs)
                 try:
-                    if drive_phase is not None:
-                        with drive_phase:
-                            self._drive(done, procs, budget)
-                    else:
-                        self._drive(done, procs, budget)
+                    self._drive(done, procs, budget)
                 finally:
                     san.detach()
-            elif drive_phase is not None:
-                with drive_phase:
-                    self._drive(done, procs, budget)
             else:
                 self._drive(done, procs, budget)
             if self.recovery is not None:
@@ -309,7 +267,6 @@ class Cluster:
                     else None
                 ),
                 recovery=self.recovery,
-                profile=prof,
             )
             if san is not None:
                 # Let in-flight deliveries land, then check for leaks.
@@ -317,12 +274,6 @@ class Cluster:
                 san.finish()
             return result
         finally:
-            if prof is not None:
-                prof.detach()
-                # An ambient profiler spans several runs; its owner
-                # (e.g. `repro bench profile`) finalizes it once.
-                if not ambient_prof:
-                    prof.finalize()
             self.sanitizer = None
 
     def _drive(self, done: Event, procs: List[Process], budget: Optional[Any]) -> None:

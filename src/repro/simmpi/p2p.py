@@ -394,15 +394,6 @@ class Transport:
         if hook not in self._send_hooks:
             self._send_hooks.append(hook)
 
-    def remove_send_hook(
-        self, hook: Callable[[int, int, int, int, float, float], None]
-    ) -> None:
-        """Unregister a previously added send hook (missing is a no-op)."""
-        try:
-            self._send_hooks.remove(hook)
-        except ValueError:
-            pass
-
     def _check_rank(self, value: int, what: str) -> None:
         if self.ranks is not None and not 0 <= value < self.ranks:
             raise ValueError(

@@ -73,8 +73,8 @@ def test_disabled_tracer_records_nothing(monkeypatch):
 
 def test_plain_run_loads_no_extra_packages():
     """Every Cluster.run imports repro.obs; in a fresh interpreter that
-    must not load the sharded engine, the experiment registry or the
-    campaign layer."""
+    must not load the sharded engine, the experiment registry, the
+    campaign layer or the host-performance package."""
     script = (
         "import sys\n"
         "from repro.machines import BGP\n"
@@ -97,7 +97,7 @@ def test_plain_run_loads_no_extra_packages():
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = proc.stdout.split()
     assert "repro.simmpi.comm" in loaded
-    unwanted = ("repro.pdes", "repro.core", "repro.campaign")
+    unwanted = ("repro.pdes", "repro.core", "repro.campaign", "repro.perf")
     assert [m for m in loaded if m.startswith(unwanted)] == []
 
 

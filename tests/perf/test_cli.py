@@ -1,9 +1,17 @@
 """`repro bench` CLI: list, run, compare, profile."""
 
 import json
+import re
 
 from repro.cli import main
-from repro.perf import load_snapshot, run_benchmarks, SLOWDOWN_ENV, snapshot_filename
+from repro.obs import validate_trace_events
+from repro.perf import (
+    HOST_PID,
+    load_snapshot,
+    run_benchmarks,
+    SLOWDOWN_ENV,
+    snapshot_filename,
+)
 
 from .test_harness import FakeClock
 
@@ -101,12 +109,16 @@ def test_bench_profile_scenario_writes_host_spans(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "host self-profile" in text
-    assert "hotspots (cProfile, by cumulative)" in text
+    assert "== top 5 hotspots (by self time) ==" in text
     assert "== host-side cost (simulator wall time) ==" in text
     doc = json.loads(out.read_text())
-    host = [e for e in doc["traceEvents"] if e.get("pid") == 1000003]
-    assert any(e.get("cat") == "host.hotspot" for e in host)
-    assert any(e.get("name") == "host:drive" for e in host)
+    validate_trace_events(doc)
+    host = [e for e in doc["traceEvents"] if e.get("pid") == HOST_PID]
+    assert len([e for e in host if e.get("cat") == "host.hotspot"]) == 5
+    layers = {e["name"] for e in host if e.get("cat") == "host.layer"}
+    assert {"host:simengine", "host:simmpi", "host:obs"} <= layers
+    counts = re.search(r"^(\d+) engine events, (\d+) messages$", text, re.M)
+    assert counts and int(counts[1]) > int(counts[2]) > 0
 
 
 def test_bench_profile_list_and_errors(capsys):

@@ -1,11 +1,15 @@
-"""The host self-profiler: hooks, phases, trace export, zero cost off."""
+"""The host self-profiler: a cProfile capture rolled up by layer."""
+
+import os
+import pstats
 
 import pytest
 
+from repro.core import run_experiment
 from repro.machines import BGP
-from repro.obs import chrome_trace, summary, tracing, validate_trace_events
-from repro.obs.tracer import Tracer
-from repro.perf import active_profiler, HOST_PID, HostProfiler, profiling
+from repro.obs import chrome_trace, summary, validate_trace_events
+from repro.perf import HOST_PID, HostProfiler
+from repro.perf.profiler import _layer, _ROOT
 from repro.simmpi import Cluster
 
 
@@ -14,141 +18,139 @@ def _program(comm):
     return comm.now
 
 
-def _run(ranks=4, **kwargs):
+def _run(ranks=16, **kwargs):
     cluster = Cluster(BGP, ranks=ranks, mode="SMP")
     return cluster, cluster.run(_program, **kwargs)
 
 
-# -- zero cost when disabled -------------------------------------------------
+def _profiled(top=10, **kwargs):
+    _run(**kwargs)  # warm-up: lazy imports
+    with HostProfiler(top=top) as prof:
+        _, result = _run(**kwargs)
+    return prof, result
+
+
+# -- zero cost when not profiling ----------------------------------------------
 
 
 def test_unprofiled_run_attaches_nothing():
     cluster, result = _run()
-    assert result.profile is None
     assert cluster.env.obs is None
     assert cluster.transport._send_hooks == []
-    assert active_profiler() is None
+    assert not hasattr(result, "profile")
 
 
 def test_disabled_profiler_methods_never_run(monkeypatch):
-    """With profile=False nothing may even touch HostProfiler."""
-    monkeypatch.setattr(
-        HostProfiler, "attach", lambda *a, **k: pytest.fail("attach called")
-    )
-    monkeypatch.setattr(
-        HostProfiler, "engine_step", lambda *a, **k: pytest.fail("engine_step called")
-    )
-    _, result = _run()
-    assert result.profile is None
+    """A run outside a profiler block never touches HostProfiler."""
+    for name in ("__init__", "__enter__", "layers", "export"):
+        monkeypatch.setattr(
+            HostProfiler, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} called")
+        )
+    _run()
 
 
-# -- enabled behaviour -------------------------------------------------------
+# -- the layer roll-up --------------------------------------------------------
 
 
-def test_profile_true_returns_a_profiler_with_data():
-    cluster, result = _run(profile=True)
-    prof = result.profile
-    assert isinstance(prof, HostProfiler)
-    assert prof.steps > 0
-    assert prof.engine_seconds >= 0.0
-    assert set(prof.phase_totals) == {"spawn", "drive"}
-    # detached cleanly: hooks are gone after the run
-    assert cluster.env.obs is None
-    assert cluster.transport._send_hooks == []
+@pytest.mark.parametrize(
+    "path, layer",
+    [
+        (("simmpi", "p2p.py"), "simmpi"),
+        (("apps", "pop", "grid.py"), "apps.pop"),
+        (("apps", "replay.py"), "apps"),
+        (("cli.py",), "cli"),
+        (("__init__.py",), "repro"),
+    ],
+)
+def test_files_map_to_their_package_layer(path, layer):
+    assert _layer(_ROOT + os.path.join(*path)) == layer
 
 
-def test_explicit_profiler_instance_is_used_and_returned():
-    prof = HostProfiler(stride=8)
-    _, result = _run(profile=prof)
-    assert result.profile is prof
-    assert prof.steps > 0
+def test_files_outside_repro_have_no_layer():
+    assert _layer(os.__file__) == ""
+    assert _layer("~") == ""
 
 
-def test_profiler_chains_over_an_attached_tracer():
-    """Tracer spans must keep flowing while the profiler observes."""
-    tracer = Tracer()
-    with tracing(tracer):
-        cluster, result = _run(profile=True)
-    assert result.trace is tracer
-    # the tracer still saw simulated spans and engine counters
-    assert any(not name.startswith("host:") for name in tracer.span_totals)
-    # and the profiler contributed host spans to the same trace
-    doc = chrome_trace(tracer)
-    validate_trace_events(doc)
-    host = [e for e in doc["traceEvents"] if e.get("pid") == HOST_PID]
-    names = {e["name"] for e in host if e.get("ph") == "X"}
-    assert "host:spawn" in names
-    assert "host:drive" in names
+def test_layer_rows_sum_to_the_total_self_time():
+    prof, _ = _profiled()
+    total = pstats.Stats(prof.profile).total_tt
+    assert total > 0
+    assert sum(prof.layers().values()) == pytest.approx(total, rel=1e-9)
 
 
-def test_cprofile_hotspots_land_in_report_and_trace():
-    tracer = Tracer()
-    prof = HostProfiler(cprofile=True, top=5)
-    with tracing(tracer):
-        _run(profile=prof)
-    rows = prof.hotspots()
-    assert 0 < len(rows) <= 5
-    where, cumulative, self_s, calls = rows[0]
-    assert cumulative >= self_s >= 0.0
-    assert calls >= 1
-    report = prof.report()
-    assert "hotspots (cProfile, by cumulative)" in report
-    doc = chrome_trace(tracer)
-    hotspot_spans = [
-        e
-        for e in doc["traceEvents"]
-        if e.get("pid") == HOST_PID and e.get("cat") == "host.hotspot"
-    ]
-    assert len(hotspot_spans) == len(rows)
-    validate_trace_events(doc)
+def test_des_allreduce_shows_the_engine_and_transport_layers():
+    prof, _ = _profiled()
+    layers = prof.layers()
+    assert layers["simengine"] > 0 and layers["simmpi"] > 0
+    assert list(layers.values()) == sorted(layers.values(), reverse=True)
 
 
-def test_report_without_cprofile_mentions_the_opt_in():
-    _, result = _run(profile=True)
-    report = result.profile.report()
-    assert "host self-profile" in report
-    assert "cprofile=True" in report
+def test_fig2_time_lands_in_halo_and_topology():
+    """numpy does fig2's link loads; its time belongs to its callers."""
+    run_experiment("fig2")  # warm-up: imports
+    with HostProfiler() as prof:
+        run_experiment("fig2")
+    layers = prof.layers()
+    assert list(layers)[:2] == ["halo", "topology"]
+    assert not [name for name in layers if "numpy" in name]
 
 
-def test_engine_batches_respect_stride():
-    tracer = Tracer()
-    prof = HostProfiler(stride=4)
-    with tracing(tracer):
-        _run(profile=prof)
-    doc = chrome_trace(tracer)
-    batches = [
-        e
-        for e in doc["traceEvents"]
-        if e.get("pid") == HOST_PID and e.get("name") == "host:engine-steps"
-    ]
-    assert batches
-    assert sum(e["args"]["steps"] for e in batches) == prof.steps
-    assert all(e["args"]["steps"] <= 4 for e in batches[:-1] or batches)
+def test_time_that_reaches_no_repro_caller_is_external():
+    with HostProfiler() as prof:
+        sorted(range(200_000), key=lambda i: -i)
+    assert next(iter(prof.layers())) == "external"
 
 
 def test_ambient_profiling_context_spans_multiple_runs():
+    """Every run inside the block is captured, and a second block adds
+    to the same capture."""
     prof = HostProfiler()
-    with profiling(prof):
-        assert active_profiler() is prof
-        _, r1 = _run()
-        steps_after_first = prof.steps
-        _, r2 = _run()
-    assert active_profiler() is None
-    assert r1.profile is prof and r2.profile is prof
-    assert steps_after_first > 0
-    assert prof.steps > steps_after_first  # totals accumulate across runs
+    with prof:
+        _run()
+        _run()
+    with prof:
+        _run()
+    calls = {
+        func: nc
+        for (filename, _line, func), (_cc, nc, *_rest) in pstats.Stats(
+            prof.profile
+        ).stats.items()
+        if _layer(filename) == "simmpi"
+    }
+    assert calls["run"] == 3
+
+
+# -- report and trace export ---------------------------------------------------
+
+
+def test_cprofile_hotspots_land_in_report_and_trace():
+    prof, result = _profiled(top=4, trace=True)
+    rows = prof.hotspots()
+    assert len(rows) == 4
+    where, self_s, cumulative, calls = rows[0]
+    assert cumulative >= self_s > 0 and calls >= 1
+    assert [r[1] for r in rows] == sorted((r[1] for r in rows), reverse=True)
+    text = prof.report()
+    table, hotspots = text.split("== top 4 hotspots (by self time) ==")
+    assert "host self-profile" in table
+    assert "simengine" in table and "simmpi" in table
+    assert where in hotspots
+    prof.export(result.trace)
+    doc = chrome_trace(result.trace)
+    validate_trace_events(doc)
+    spans = [
+        e for e in doc["traceEvents"] if e.get("pid") == HOST_PID and e["ph"] == "X"
+    ]
+    layers = [e["name"] for e in spans if e["cat"] == "host.layer"]
+    assert layers == [f"host:{name}" for name in prof.layers()]
+    hot = [e for e in spans if e["cat"] == "host.hotspot"]
+    assert [e["name"] for e in hot] == [f"host:{r[0]}" for r in rows]
 
 
 def test_summary_separates_host_cost_from_sim_attribution():
-    tracer = Tracer()
-    with tracing(tracer):
-        _run(profile=True)
-    text = summary(tracer)
-    assert "== host-side cost (simulator wall time) ==" in text
-    sim_section = text.split("== host-side cost")[0]
+    prof, result = _profiled(trace=True)
+    prof.export(result.trace)
+    text = summary(result.trace)
+    sim_section, host_section = text.split("== host-side cost (simulator wall time) ==")
     assert "host:" not in sim_section
-
-
-def test_stride_must_be_positive():
-    with pytest.raises(ValueError):
-        HostProfiler(stride=0)
+    assert "host:simmpi" in host_section

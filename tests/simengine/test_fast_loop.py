@@ -6,8 +6,8 @@ Three properties keep the loop's speed from costing anything:
   ``gc.isenabled()`` as it found it, on every way out;
 * the DES runs it drives make no reference cycles, so holding the
   collector off frees nothing later than reference counting would, and
-  a dropped cluster, with or without a fault injector, frees by
-  reference counting alone;
+  a dropped cluster, with or without a fault injector or a recovery
+  runtime, frees by reference counting alone;
 * it processes the same events in the same (time, sequence) order as
   ``Engine.step``, the one-event reference, driven by hand.
 """
@@ -20,8 +20,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import FaultPlan, LinkFail
+from repro.faults import FaultPlan, LinkFail, NodeFail
 from repro.machines import BGP, XT4_QC
+from repro.recovery import RankFailedError, RecoveryPolicy
 from repro.simengine import Budget, BudgetExceeded, EmptySchedule, Engine
 from repro.simmpi import Cluster, ReliabilityPolicy
 
@@ -196,6 +197,39 @@ def _link_kill(steps):
     return cluster, result
 
 
+def _recovery(steps):
+    cluster = Cluster(BGP, ranks=64, mode="SMP")
+    return cluster, cluster.run(_FP32_ALLREDUCE, steps, recovery=RecoveryPolicy())
+
+
+def _shrinking(comm, steps):
+    """Compute and a ring shift per step; the survivors of a node
+    failure agree, shrink and finish with one allreduce."""
+    try:
+        for step in range(steps):
+            yield from comm.compute(seconds=1.0)
+            req = comm.irecv(src=(comm.rank - 1) % comm.size, tag=step)
+            yield from comm.send((comm.rank + 1) % comm.size, 4096, tag=step)
+            yield from comm.wait(req)
+    except RankFailedError:
+        yield from comm.agree()
+        survivors = yield from comm.shrink()
+        yield from survivors.allreduce(16384, dtype="float32")
+    return comm.now
+
+
+def _node_fail_shrink(steps):
+    cluster = Cluster(BGP, ranks=64, mode="SMP")
+    # mid step 1's compute, while no message is in flight
+    kill = NodeFail(time=1.5, node=cluster.mapping.node_of(5))
+    result = cluster.run(
+        _shrinking, steps, faults=FaultPlan((kill,)),
+        recovery=RecoveryPolicy(mode="shrink"),
+    )
+    assert cluster.recovery.dead_ranks == {5}
+    return cluster, result
+
+
 def _plain(machine, ranks, program):
     def run(steps):
         cluster = Cluster(machine, ranks=ranks, mode="VN")
@@ -211,6 +245,8 @@ _RUNS = {
     "allreduce-software": _plain(XT4_QC, 16, _allreduce("float64", 64)),
     "tree": _plain(BGP, 32, _tree),
     "link-kill": _link_kill,
+    "recovery": _recovery,
+    "node-fail-shrink": _node_fail_shrink,
 }
 
 
