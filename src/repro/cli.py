@@ -18,9 +18,6 @@ Usage::
     python -m repro serve submit all -o srv/ --wait      # submit + poll a campaign
     python -m repro serve status -o srv/ --json
     python -m repro serve drain -o srv/ --wait           # finish queue, then exit
-    python -m repro pdes list            # sharded-DES scenarios
-    python -m repro pdes run torus-ring --shards 4 -o pdes/   # sharded run
-    python -m repro pdes run halo --shards 8 --backend process --bare
     python -m repro trace pop            # traced DES scenario -> Chrome trace
     python -m repro trace pingpong --param nbytes=65536
     python -m repro faults link-kill     # fault-injection scenario
@@ -787,71 +784,6 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pdes_list(_args: argparse.Namespace) -> int:
-    from .pdes.scenarios import SCENARIOS, describe
-
-    for scenario in SCENARIOS.values():
-        print(f"  {describe(scenario)}")
-    return 0
-
-
-def _cmd_pdes_run(args: argparse.Namespace) -> int:
-    from .pdes import LinkConflictError, PdesError
-    from .pdes.runner import run
-
-    try:
-        params = _parse_params(args.params)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        result = run(
-            args.scenario,
-            shards=args.shards,
-            backend=args.backend,
-            params=params,
-            strict_conflicts=not args.allow_conflicts,
-            observe=not args.bare,
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except LinkConflictError as exc:
-        print(f"repro pdes run: {exc}", file=sys.stderr)
-        return 1
-    except PdesError as exc:
-        print(f"repro pdes run: {exc}", file=sys.stderr)
-        return 1
-    for line in result.summary_lines():
-        print(line)
-    if result.conflicts:
-        print(
-            f"WARNING: {len(result.conflicts)} link conflict(s) - sharded "
-            "timing is NOT certified identical to the single engine",
-            file=sys.stderr,
-        )
-    if args.output:
-        outdir = pathlib.Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        stem = f"{result.scenario}.s{result.shards}"
-        if args.bare:
-            print(
-                "note: --bare records no artifacts; rerun without it to "
-                "export canonical trace/metrics/events",
-                file=sys.stderr,
-            )
-        else:
-            for suffix, text in (
-                ("trace.json", result.trace_json),
-                ("metrics.json", result.metrics_json),
-                ("events.jsonl", result.events_jsonl),
-            ):
-                path = outdir / f"{stem}.{suffix}"
-                path.write_text(text)
-                print(f"wrote {path}")
-    return 0
-
-
 def _add_scenario_args(parser: argparse.ArgumentParser, example: str) -> None:
     """The arguments every scenario-running command shares (see
     :func:`_scenario`); ``example`` is a ``--param`` shown in the help."""
@@ -1247,55 +1179,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("machines", help="print the machine catalog (Table 1)").set_defaults(
         fn=_cmd_machines
     )
-
-    p_pdes = sub.add_parser(
-        "pdes",
-        help=(
-            "sharded parallel DES: conservative-lookahead engine for "
-            "message-level runs at 40k-rank scale"
-        ),
-    )
-    pdes_sub = p_pdes.add_subparsers(dest="pdes_command", required=True)
-
-    pdes_sub.add_parser(
-        "list", help="list sharded-DES scenarios"
-    ).set_defaults(fn=_cmd_pdes_list)
-
-    p_prun = pdes_sub.add_parser(
-        "run", help="run a scenario sharded (or single-engine at --shards 1)"
-    )
-    p_prun.add_argument("scenario", help="scenario id (see 'pdes list')")
-    p_prun.add_argument(
-        "-s", "--shards", type=int, default=1, metavar="N",
-        help="shard count (default: 1 = the reference single-engine path)",
-    )
-    p_prun.add_argument(
-        "--backend", choices=["inline", "process"], default="inline",
-        help="inline = all shards in this process (deterministic, "
-             "zero overhead); process = one OS process per shard "
-             "(parallel wall-clock on multi-core hosts)",
-    )
-    p_prun.add_argument(
-        "--param", dest="params", action="append", metavar="KEY=VALUE",
-        help="scenario parameter override (repeatable; e.g. ranks=4096)",
-    )
-    p_prun.add_argument(
-        "-o", "--output", metavar="DIR",
-        help="write canonical artifacts: <scenario>.s<N>.trace.json, "
-             ".metrics.json, .events.jsonl (byte-identical across shard "
-             "counts when conflict-free)",
-    )
-    p_prun.add_argument(
-        "--bare", action="store_true",
-        help="skip telemetry (no tracer, booking logs, artifacts, or "
-             "conflict certification); benchmark mode",
-    )
-    p_prun.add_argument(
-        "--allow-conflicts", action="store_true",
-        help="report cross-shard link conflicts as a warning instead of "
-             "failing the run",
-    )
-    p_prun.set_defaults(fn=_cmd_pdes_run)
 
     p_bench = sub.add_parser(
         "bench",

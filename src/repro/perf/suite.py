@@ -290,111 +290,3 @@ def _bench_lint_syntactic() -> Dict[str, Any]:
     if flow_findings:
         raise AssertionError("--no-flow pass must not emit flow findings")
     return {"files": result.files_checked}
-
-
-# -- sharded parallel DES (repro.pdes) --------------------------------------
-
-_PDES_SYNC_SCENARIO = "torus-ring"
-_PDES_SYNC_SHARDS = 4
-_PDES_SCALE_PARAMS = {"repeats": 4}
-_PDES_SCALE_SHARDS = 8
-
-
-@benchmark(
-    "pdes.sync_overhead",
-    description="conservative-sync layer: 4-shard inline torus-ring vs bare engines",
-    scenario=_PDES_SYNC_SCENARIO,
-    shards=_PDES_SYNC_SHARDS,
-)
-def _bench_pdes_sync_overhead() -> Dict[str, Any]:
-    from ..pdes import run as pdes_run
-
-    result = pdes_run(
-        _PDES_SYNC_SCENARIO, shards=_PDES_SYNC_SHARDS, observe=False
-    )
-    return {
-        "rounds": result.stats.rounds,
-        "null_messages": result.stats.null_messages,
-        "boundary_events": result.stats.boundary_events,
-        "engine_steps": result.stats.engine_steps,
-    }
-
-
-@benchmark(
-    "pdes.shard_merge",
-    description="deterministic merge + conflict replay of 4-shard trace artifacts",
-    scenario=_PDES_SYNC_SCENARIO,
-    shards=_PDES_SYNC_SHARDS,
-)
-def _bench_pdes_shard_merge() -> Dict[str, Any]:
-    from ..pdes.merge import (
-        canonical_events_jsonl,
-        canonical_metrics_json,
-        canonical_trace_json,
-        find_link_conflicts,
-    )
-
-    reports = _pdes_merge_reports()
-    conflicts = find_link_conflicts(reports)
-    trace = canonical_trace_json(reports)
-    metrics = canonical_metrics_json(reports)
-    events = canonical_events_jsonl(reports)
-    return {
-        "shards": len(reports),
-        "conflicts": len(conflicts),
-        "trace_bytes": len(trace),
-        "metrics_bytes": len(metrics),
-        "event_lines": events.count("\n"),
-    }
-
-
-_PDES_MERGE_CACHE: List[Any] = []
-
-
-def _pdes_merge_reports() -> List[Any]:
-    """Shard reports to merge, simulated once and reused across samples."""
-    if not _PDES_MERGE_CACHE:
-        from ..pdes import run as pdes_run
-
-        result = pdes_run(_PDES_SYNC_SCENARIO, shards=_PDES_SYNC_SHARDS)
-        _PDES_MERGE_CACHE.extend(result.reports)
-    return list(_PDES_MERGE_CACHE)
-
-
-@benchmark(
-    "pdes.scale_serial",
-    description="halo exchange, 4096 ranks, one engine (pair with pdes.scale_sharded)",
-    scenario="halo",
-    ranks=4096,
-    **_PDES_SCALE_PARAMS,
-)
-def _bench_pdes_scale_serial() -> Dict[str, Any]:
-    from ..pdes import run as pdes_run
-
-    result = pdes_run("halo", shards=1, params=dict(_PDES_SCALE_PARAMS), observe=False)
-    return {"messages": result.messages, "sim_elapsed_s": result.elapsed}
-
-
-@benchmark(
-    "pdes.scale_sharded",
-    description="halo exchange, 4096 ranks, 8 shards on the process backend",
-    scenario="halo",
-    ranks=4096,
-    shards=_PDES_SCALE_SHARDS,
-    **_PDES_SCALE_PARAMS,
-)
-def _bench_pdes_scale_sharded() -> Dict[str, Any]:
-    from ..pdes import run as pdes_run
-
-    result = pdes_run(
-        "halo",
-        shards=_PDES_SCALE_SHARDS,
-        backend="process",
-        params=dict(_PDES_SCALE_PARAMS),
-        observe=False,
-    )
-    return {
-        "messages": result.messages,
-        "rounds": result.stats.rounds,
-        "engine_steps": result.stats.engine_steps,
-    }

@@ -160,9 +160,9 @@ class Engine:
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
 
-        The one-event API for drivers that interleave the engine with
-        other work (the sharded PDES).  :meth:`run` inlines the same
-        steps; this method is the reference it is tested against.
+        The one-event reference the loop is tested against: :meth:`run`
+        inlines the same steps, and the tests hold it to this method
+        event for event.
         """
         ready = self._ready
         if not ready:

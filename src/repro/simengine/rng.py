@@ -45,9 +45,9 @@ def derive_seed(*keys: object) -> int:
     (:func:`repro.campaign.worker.job_seed`): sha256 over a stable
     textual encoding, first 8 bytes big-endian.  Use this whenever a
     subsystem needs an independent, reproducible stream per logical
-    unit (a pdes shard, a campaign job, a noise source) — child seeds
-    are stable across hosts and Python invocations, and adding a new
-    consumer never shifts an existing consumer's stream.
+    unit (a campaign job, a noise source) — child seeds are stable
+    across hosts and Python invocations, and adding a new consumer
+    never shifts an existing consumer's stream.
     """
     if not keys:
         raise ValueError("derive_seed needs at least one key")

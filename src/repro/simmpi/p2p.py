@@ -369,8 +369,9 @@ class Transport:
         )
 
     # -- arrivals ------------------------------------------------------------
-    # The only methods that schedule a message's arrival; the sharded
-    # transport overrides them to ship a cross-shard arrival instead.
+    # The only methods that schedule a message's arrival, so a change to
+    # when a message arrives (folding an event into another's delay) is
+    # made here.
     def _schedule_eager_arrival(self, envelope: _Envelope, delay: float) -> None:
         self.env.timeout(delay, envelope.msg).callbacks.append(
             lambda _e: self._incoming(envelope)

@@ -10,14 +10,7 @@ from .mapping import (
     PREDEFINED_MAPPINGS,
     rank_of_coords,
 )
-from .partition import (
-    allocate,
-    Partition,
-    shard_nodes,
-    shard_of_node,
-    slab_axis,
-    slab_extents,
-)
+from .partition import allocate, Partition
 from .torus import Coord, LinkKey, NoRouteError, Torus3D
 from .tree import TreeNetwork
 
@@ -36,10 +29,6 @@ __all__ = [
     "rank_of_coords",
     "Partition",
     "allocate",
-    "slab_axis",
-    "slab_extents",
-    "shard_of_node",
-    "shard_nodes",
     "TrafficAnalysis",
     "analyze_pattern",
     "compare_mappings",

@@ -30,14 +30,7 @@ from ..machines.specs import MachineSpec
 from ..simengine import Engine, make_rng
 from .torus import Torus3D
 
-__all__ = [
-    "Partition",
-    "allocate",
-    "slab_axis",
-    "slab_extents",
-    "shard_of_node",
-    "shard_nodes",
-]
+__all__ = ["Partition", "allocate"]
 
 
 @dataclass(frozen=True)
@@ -142,84 +135,3 @@ def allocate(
         route_dilation=dilation,
         contention_multiplier=contention,
     )
-
-
-# -- Slab sharding ----------------------------------------------------------
-#
-# `repro.pdes` splits a partition's torus into contiguous slabs along one
-# axis, one slab per simulation shard.  Slabs keep cross-shard surface
-# area minimal (only the two slab faces carry boundary traffic) and make
-# node ownership a pure function of one coordinate, which is what the
-# conservative-lookahead synchronizer needs to route boundary events.
-
-
-def slab_axis(torus_shape: Tuple[int, int, int]) -> int:
-    """The axis a slab decomposition splits: the longest torus dimension.
-
-    Ties break toward the highest axis index (Z-most), matching the
-    XYZT mapping's slowest-varying coordinate so slabs line up with
-    contiguous rank ranges under the default mapping.
-    """
-    best = 0
-    for axis in range(3):
-        if torus_shape[axis] >= torus_shape[best]:
-            best = axis
-    return best
-
-
-def slab_extents(extent: int, shards: int) -> Tuple[Tuple[int, int], ...]:
-    """Split ``extent`` coordinates into ``shards`` contiguous ranges.
-
-    Returns ``((start, stop), ...)`` half-open ranges whose sizes differ
-    by at most one (larger slabs first).  ``shards`` must not exceed
-    ``extent`` — an empty slab would have no nodes and nothing to do.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if shards > extent:
-        raise ValueError(
-            f"cannot cut {extent} coordinates into {shards} non-empty slabs"
-        )
-    base, extra = divmod(extent, shards)
-    ranges = []
-    start = 0
-    for i in range(shards):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return tuple(ranges)
-
-
-def shard_of_node(
-    node: Tuple[int, int, int],
-    torus_shape: Tuple[int, int, int],
-    shards: int,
-) -> int:
-    """The shard owning torus node ``node`` under a slab decomposition."""
-    axis = slab_axis(torus_shape)
-    coord = node[axis]
-    if not 0 <= coord < torus_shape[axis]:
-        raise ValueError(f"node {node} outside torus {torus_shape}")
-    for shard, (start, stop) in enumerate(slab_extents(torus_shape[axis], shards)):
-        if start <= coord < stop:
-            return shard
-    raise AssertionError("slab_extents covers every coordinate")  # pragma: no cover
-
-
-def shard_nodes(
-    torus_shape: Tuple[int, int, int],
-    shards: int,
-) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
-    """All torus nodes grouped by owning shard, in lexicographic order."""
-    axis = slab_axis(torus_shape)
-    extents = slab_extents(torus_shape[axis], shards)
-    groups: Tuple[list, ...] = tuple([] for _ in range(shards))
-    for x in range(torus_shape[0]):
-        for y in range(torus_shape[1]):
-            for z in range(torus_shape[2]):
-                node = (x, y, z)
-                for shard, (start, stop) in enumerate(extents):
-                    if start <= node[axis] < stop:
-                        groups[shard].append(node)
-                        break
-    return tuple(tuple(g) for g in groups)

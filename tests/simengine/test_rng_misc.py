@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simengine import DEFAULT_SEED, Engine, make_rng, spawn
+from repro.simengine import DEFAULT_SEED, derive_seed, Engine, make_rng, spawn
 
 
 def test_make_rng_deterministic():
@@ -37,6 +37,13 @@ def test_spawn_different_keys_differ():
     assert not np.array_equal(
         a.integers(0, 1 << 30, size=4), b.integers(0, 1 << 30, size=4)
     )
+
+
+def test_derive_seed_deterministic_and_distinct():
+    assert derive_seed(DEFAULT_SEED, "job", 0) == derive_seed(DEFAULT_SEED, "job", 0)
+    seeds = {derive_seed(DEFAULT_SEED, "job", k) for k in range(16)}
+    assert len(seeds) == 16  # sha256 derivation: no collisions, no order
+    assert all(0 <= s < 2 ** 64 for s in seeds)
 
 
 def test_default_seed_is_stable_constant():
