@@ -20,7 +20,7 @@ from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..core.evaluation import experiment_ids, validate_experiment_params
-from ..core.params import parse_params
+from ..params import parse_params
 
 __all__ = ["CampaignSpec", "Job", "SpecError", "canonical_params", "params_digest"]
 

@@ -40,20 +40,9 @@ import pathlib
 import sys
 from typing import Any, Dict, List, Optional
 
+from .params import parse_params
+
 __all__ = ["main"]
-
-
-def _parse_params(pairs: Optional[List[str]]) -> Dict[str, float]:
-    """Parse repeated ``--param key=value`` flags into numeric kwargs.
-
-    Thin alias of :func:`repro.core.params.parse_params` — the one
-    canonical key=value grammar, shared with the campaign spec loader
-    so both paths produce the same one-line error (the CLI prints it
-    and exits 2, same as an unknown scenario id).
-    """
-    from .core.params import parse_params
-
-    return parse_params(pairs)
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -83,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .core.evaluation import EXPERIMENTS, run_experiment
 
     try:
-        params = _parse_params(args.params)
+        params = parse_params(args.params)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -239,7 +228,7 @@ def _scenario(args: argparse.Namespace, command: str, prog: str):
         print(f"repro {prog}: give a scenario id (or --list)", file=sys.stderr)
         return 2, None
     try:
-        params = _parse_params(args.params)
+        params = parse_params(args.params)
         tracer, result_line = run_scenario(args.scenario, command, **params)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
@@ -286,7 +275,7 @@ def _campaign_spec(args: argparse.Namespace) -> Any:
     verbs print either after their name and exit 2."""
     from .campaign import CampaignSpec
 
-    params = _parse_params(getattr(args, "params", None))
+    params = parse_params(getattr(args, "params", None))
     targets = args.targets or []
     if args.spec and targets:
         raise ValueError("give either --spec or experiment ids, not both")

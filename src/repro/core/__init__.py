@@ -1,6 +1,7 @@
 """Evaluation core: metrics, reports, the experiment registry, and the
 paper-shape validation harness."""
 
+from ..params import parse_params
 from .compare import compare_machines, ComparisonRow, render_comparison
 from .evaluation import (
     experiment_ids,
@@ -9,7 +10,6 @@ from .evaluation import (
     validate_experiment_params,
 )
 from .hpcc import build_table2, HpccColumn, TABLE2_ROWS
-from .params import parse_params
 from .metrics import (
     crossover_point,
     parallel_efficiency,

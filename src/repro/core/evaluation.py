@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List
 
 from ..machines import BGL, BGP, XT3, XT4_DC, XT4_QC
-from .params import checked_entry
+from ..params import checked_entry
 from .report import Figure, format_table
 
 __all__ = [

@@ -19,6 +19,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Callable, Dict, List, Tuple
 
+from ..params import checked_entry
 from .tracer import Tracer, tracing
 
 __all__ = ["SCENARIOS", "run_scenario", "scenario_ids"]
@@ -148,9 +149,5 @@ def run_scenario(
     (e.g. ``nbytes`` for pingpong); an unknown id or parameter raises
     :class:`KeyError` naming what is known or supported.
     """
-    # Imported here, not at module load: every Cluster.run imports
-    # repro.obs, and repro.core loads ~50 modules a run does not need.
-    from ..core.params import checked_entry
-
     fn = checked_entry(_table(command), scenario_id, params, _TABLES[command][1])
     return fn(**params)

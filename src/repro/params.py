@@ -10,6 +10,9 @@ fractions — and integers stay ``int``.
 :func:`checked_entry` is the one lookup of a named experiment or
 scenario: find the name, then check the parameters against the
 function's signature.
+
+This module imports no other ``repro`` module, so a scenario lookup
+(``repro trace``, ``faults``, ``recover``) loads no experiment code.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def test_params_accept_cli_key_value_strings():
 
 
 def test_params_share_the_canonical_parser_error():
-    from repro.core.params import parse_params
+    from repro.params import parse_params
 
     with pytest.raises(ValueError) as canonical:
         parse_params(["edge=forty"])

@@ -71,20 +71,26 @@ def test_disabled_tracer_records_nothing(monkeypatch):
     assert res.trace is None
 
 
-def test_plain_run_loads_no_extra_packages():
-    """Every Cluster.run imports repro.obs; in a fresh interpreter that
-    must not load the sharded engine, the experiment registry, the
-    campaign layer or the host-performance package."""
-    script = (
-        "import sys\n"
+@pytest.mark.parametrize(
+    "run",
+    [
         "from repro.machines import BGP\n"
         "from repro.simmpi import Cluster\n"
         "def program(comm):\n"
         "    yield from comm.send((comm.rank + 1) % comm.size, nbytes=64)\n"
         "    yield from comm.recv()\n"
-        "Cluster(BGP, ranks=2, mode='SMP').run(program)\n"
-        "print('\\n'.join(sys.modules))\n"
-    )
+        "Cluster(BGP, ranks=2, mode='SMP').run(program)\n",
+        "from repro.obs.scenarios import run_scenario\n"
+        "run_scenario('torus-ring')\n",
+    ],
+    ids=["cluster-run", "run-scenario"],
+)
+def test_plain_run_loads_no_extra_packages(run):
+    """Every Cluster.run imports repro.obs, and every scenario command
+    looks its scenario up there; in a fresh interpreter neither may load
+    the experiment registry, the campaign layer or the host-performance
+    package."""
+    script = "import sys\n" + run + "print('\\n'.join(sys.modules))\n"
     src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -97,7 +103,7 @@ def test_plain_run_loads_no_extra_packages():
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = proc.stdout.split()
     assert "repro.simmpi.comm" in loaded
-    unwanted = ("repro.pdes", "repro.core", "repro.campaign", "repro.perf")
+    unwanted = ("repro.core", "repro.campaign", "repro.perf")
     assert [m for m in loaded if m.startswith(unwanted)] == []
 
 
