@@ -89,6 +89,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     if args.experiment == "all" and jobs > 1:
         # Parallel compute, ordered printing; no directory => no cache.
+        # Pool workers trace nothing back, so a trace needs the campaign.
+        if args.trace or args.metrics:
+            print(
+                "repro run: --trace/--metrics with 'all --jobs N' need -o DIR "
+                "(the campaign path records the job track)",
+                file=sys.stderr,
+            )
+            return 2
         from .campaign import CampaignSpec, SpecError, execute_job, pool_map
 
         try:

@@ -95,6 +95,20 @@ def test_run_with_trace_and_metrics(tmp_path, capsys):
     json.loads(metrics_file.read_text())
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+def test_run_all_jobs_with_trace_needs_output_dir(tmp_path, capsys, monkeypatch, flag):
+    """Pool workers record nothing for a run without -o, so asking for a
+    trace there exits 2, before any job runs, and names -o DIR."""
+    import repro.campaign
+
+    monkeypatch.setattr(repro.campaign, "pool_map", lambda jobs: pytest.fail("a job ran"))
+    out = tmp_path / "out.json"
+    assert main(["run", "all", "-j", "2", flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "-o DIR" in err
+    assert not out.exists()
+
+
 def test_run_without_trace_writes_nothing(tmp_path, capsys):
     assert main(["run", "table1"]) == 0
     assert "wrote" not in capsys.readouterr().out
