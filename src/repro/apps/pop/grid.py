@@ -9,10 +9,17 @@ The land mask matters for performance: ocean-only points do work, so
 blocks with more land are cheaper, and the imbalance between blocks
 grows as blocks shrink (more ranks) — the baroclinic load imbalance the
 paper measured with its timing barrier (Fig. 4b).
+
+The synthetic land is drawn on square cells of 8 x 8 grid points, so
+the mask is constant on each cell (only the last row or column of cells
+can be partial).  ``imbalance`` never builds the full-resolution mask:
+it reads each block's ocean count from a summed-area table of the
+ocean cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -20,6 +27,9 @@ from typing import Tuple
 import numpy as np
 
 __all__ = ["PopGrid", "TENTH_DEGREE", "decompose", "Imbalance"]
+
+#: Side of the square cells the land field is drawn on, in grid points.
+_CELL = 8
 
 
 @dataclass(frozen=True)
@@ -51,22 +61,13 @@ class PopGrid:
 
         Continents are built from a few smoothed random blobs so that
         land is *spatially coherent* — which is what creates block-level
-        load imbalance (random scatter would average out).
+        load imbalance (random scatter would average out).  The mask is
+        constant on 8x8-point cells; this repeats the memoized cell mask
+        into a fresh, writable array.  ``imbalance`` counts ocean points
+        from the cells' summed-area table and never builds this array.
         """
-        rng = np.random.default_rng(seed)
-        field = rng.standard_normal((self.ny // 8 + 2, self.nx // 8 + 2))
-        # Smooth by repeated neighbour averaging, then upsample.
-        for _ in range(6):
-            field = 0.25 * (
-                np.roll(field, 1, 0)
-                + np.roll(field, -1, 0)
-                + np.roll(field, 1, 1)
-                + np.roll(field, -1, 1)
-            )
-        big = np.kron(field, np.ones((8, 8)))[: self.ny, : self.nx]
-        # Threshold at the requested land fraction.
-        cut = np.quantile(big, self.ocean_fraction)
-        return big > cut
+        land, _ = _land_cells(self.nx, self.ny, self.ocean_fraction, seed)
+        return land.repeat(_CELL, 0).repeat(_CELL, 1)[: self.ny, : self.nx]
 
 
 #: The paper's tenth-degree benchmark grid.
@@ -109,36 +110,76 @@ def decompose(processes: int, nx: int, ny: int) -> Tuple[int, int]:
 
 
 @lru_cache(maxsize=4)
-def _ocean_table(nx: int, ny: int, ocean_fraction: float, seed: int) -> np.ndarray:
-    """Summed-area table of the ocean mask: ``table[j, i]`` = ocean points
-    in rows ``< j`` and columns ``< i``.
+def _land_cells(
+    nx: int, ny: int, ocean_fraction: float, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The land mask on its cells, and the summed-area table of ocean cells.
 
-    Built once per mask; the float field behind the mask is gone by the
-    time the table is summed.  int32 holds any grid below 2**31 points.
+    ``land[q, p]`` covers grid rows ``8q`` to ``8q + 7`` and columns
+    ``8p`` to ``8p + 7``, clipped to the grid.  ``table[q, p]`` counts
+    the ocean cells in cell rows ``< q`` and cell columns ``< p``.  Both
+    arrays are read-only.
     """
-    ocean = ~PopGrid(nx=nx, ny=ny, levels=1, ocean_fraction=ocean_fraction).land_mask(seed)
-    dtype = np.int32 if nx * ny < 2**31 else np.int64
-    table = np.zeros((ny + 1, nx + 1), dtype=dtype)
-    np.cumsum(ocean, axis=0, dtype=dtype, out=table[1:, 1:])
+    rng = np.random.default_rng(seed)
+    field = rng.standard_normal((ny // _CELL + 2, nx // _CELL + 2))
+    # Smooth by repeated neighbour averaging.
+    for _ in range(6):
+        field = 0.25 * (
+            np.roll(field, 1, 0)
+            + np.roll(field, -1, 0)
+            + np.roll(field, 1, 1)
+            + np.roll(field, -1, 1)
+        )
+    rows, cols = -(-ny // _CELL), -(-nx // _CELL)
+    field = field[:rows, :cols]
+    # Threshold at the requested land fraction: np.quantile's linear
+    # method over all nx * ny grid points, bit for bit.  The order
+    # statistics at (n - 1) * q and at the next position (clamped to
+    # n - 1) are read from the cell values sorted once, each cell
+    # counted once per grid point it covers, and blended as numpy's
+    # lerp blends them.
+    area = np.outer(
+        np.minimum(_CELL, ny - _CELL * np.arange(rows)),
+        np.minimum(_CELL, nx - _CELL * np.arange(cols)),
+    )
+    order = np.argsort(field, axis=None)
+    ends = np.cumsum(area.ravel()[order])
+    n = nx * ny
+    index = (n - 1) * ocean_fraction
+    lo = math.floor(index)
+    a, b = field.ravel()[order[np.searchsorted(ends, [lo, min(lo + 1, n - 1)], "right")]]
+    t = index - lo
+    cut = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+    land = field > cut
+    table = np.zeros((rows + 1, cols + 1), dtype=np.int64)
+    np.cumsum(~land, axis=0, dtype=np.int64, out=table[1:, 1:])
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-    table.flags.writeable = False
-    return table
+    land.flags.writeable = table.flags.writeable = False
+    return land, table
 
 
 def _block_ocean_counts(grid: PopGrid, px: int, py: int, seed: int) -> np.ndarray:
     """Ocean points per block of a ``px`` x ``py`` split, flat in (j, i) order.
 
-    Block edges are the ``np.linspace`` integer edges; each count is
-    four corner reads of the summed-area table.
+    Block edges are the ``np.linspace`` integer edges.  The mask is
+    constant on each cell, so the ocean points in grid rows ``< 8q + s``
+    and columns ``< 8p + t`` (``0 <= s, t <= 8``) are an exact integer
+    blend of the four cell-table entries around ``(q, p)``: cell rows
+    ``q`` and ``q + 1`` weighted ``8 - s`` and ``s``, then cell columns
+    ``p`` and ``p + 1`` weighted ``8 - t`` and ``t``.  Each block's
+    count is four corner reads of those edge sums.
     """
-    table = _ocean_table(grid.nx, grid.ny, grid.ocean_fraction, seed)
-    ys = np.linspace(0, grid.ny, py + 1, dtype=int)[:, None]
+    _, table = _land_cells(grid.nx, grid.ny, grid.ocean_fraction, seed)
+    ys = np.linspace(0, grid.ny, py + 1, dtype=int)
     xs = np.linspace(0, grid.nx, px + 1, dtype=int)
+    # An edge on the grid's last cell boundary is offset 8 into the last cell.
+    q = np.minimum(ys // _CELL, table.shape[0] - 2)
+    p = np.minimum(xs // _CELL, table.shape[1] - 2)
+    s, t = (ys - _CELL * q)[:, None], xs - _CELL * p
+    rows = (_CELL - s) * table[q] + s * table[q + 1]
+    below = (_CELL - t) * rows[:, p] + t * rows[:, p + 1]
     return (
-        table[ys[1:], xs[1:]]
-        - table[ys[:-1], xs[1:]]
-        - table[ys[1:], xs[:-1]]
-        + table[ys[:-1], xs[:-1]]
+        below[1:, 1:] - below[:-1, 1:] - below[1:, :-1] + below[:-1, :-1]
     ).astype(float).ravel()
 
 

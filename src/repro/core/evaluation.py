@@ -8,6 +8,7 @@ call them directly.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List
 
 from ..machines import BGL, BGP, XT3, XT4_DC, XT4_QC
@@ -165,18 +166,24 @@ def fig1_hpcc_scaling() -> str:
 # Figure 2: HALO
 # ---------------------------------------------------------------------------
 def fig2_halo() -> str:
-    from ..halo.bench import HaloBenchmark, best_mapping
+    from ..halo.bench import HaloBenchmark
     from ..halo.protocols import PROTOCOLS
     from ..topology.mapping import PAPER_FIG2_MAPPINGS
 
     words_sweep = [2, 8, 32, 128, 512, 2048, 8192, 32768]
     out = []
 
+    # One benchmark per (grid, mode, mapping), shared by every panel that
+    # plots it, so each link-load analysis (word-independent) runs once.
+    @functools.cache
+    def bench(grid, mode, mapping):
+        return HaloBenchmark(BGP, grid, mode=mode, mapping=mapping)
+
     # (a) protocols, 8192 cores VN, 128x64 grid, TXYZ
     fig = Figure(
         "Figure 2(a): protocols, 8192 cores VN (128x64, TXYZ)", "halo words", "seconds"
     )
-    hb = HaloBenchmark(BGP, grid=(128, 64), mode="VN", mapping="TXYZ")
+    hb = bench((128, 64), "VN", "TXYZ")
     for proto in PROTOCOLS:
         fig.add(proto, [(w, hb.time_analytic(w, proto)) for w in words_sweep])
     out.append(fig.render())
@@ -185,7 +192,7 @@ def fig2_halo() -> str:
     fig = Figure(
         "Figure 2(b): protocols, 2048 cores SMP (64x32, XYZT)", "halo words", "seconds"
     )
-    hb = HaloBenchmark(BGP, grid=(64, 32), mode="SMP", mapping="XYZT")
+    hb = bench((64, 32), "SMP", "XYZT")
     for proto in PROTOCOLS:
         fig.add(proto, [(w, hb.time_analytic(w, proto)) for w in words_sweep])
     out.append(fig.render())
@@ -198,13 +205,11 @@ def fig2_halo() -> str:
             "seconds",
         )
         for mapping in PAPER_FIG2_MAPPINGS:
-            hb = HaloBenchmark(BGP, grid=grid, mode="VN", mapping=mapping)
+            hb = bench(grid, "VN", mapping)
             fig.add(mapping, [(w, hb.time_analytic(w)) for w in words_sweep])
         out.append(fig.render())
 
-    # (e, f) best mapping per grid size, VN and SMP.  Benchmarks are
-    # built once per (grid, mapping) so each one's link-load analysis,
-    # which is word-independent, serves the whole sweep.
+    # (e, f) best mapping per grid size, VN and SMP.
     for panel, mode, grids in (
         ("e", "VN", [(32, 32), (64, 32), (64, 64), (128, 64)]),
         ("f", "SMP", [(16, 16), (32, 16), (32, 32), (64, 32)]),
@@ -215,10 +220,7 @@ def fig2_halo() -> str:
             "seconds",
         )
         for grid in grids:
-            benches = [
-                HaloBenchmark(BGP, grid, mode=mode, mapping=m)
-                for m in PAPER_FIG2_MAPPINGS
-            ]
+            benches = [bench(grid, mode, m) for m in PAPER_FIG2_MAPPINGS]
             pts = [
                 (w, min(hb.time_analytic(w) for hb in benches))
                 for w in words_sweep

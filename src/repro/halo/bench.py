@@ -14,8 +14,9 @@ harness offers two evaluators sharing the machine model:
   ranks: node coordinates from :meth:`Mapping.node_coords`, periodic
   peers, and the dimension-order routes walked one hop per step for
   every message at once.  Link loads scale linearly with the halo
-  width, so this analysis runs once per (grid, mapping) and is reused
-  across the sweep.
+  width, so this analysis runs once per benchmark and serves its whole
+  sweep.  Fig. 2 shares one benchmark per (grid, mode, mapping) across
+  its panels, so there it runs once per configuration.
 
 The mapping sensitivity of Fig. 2c/d emerges from the congestion
 analysis: mappings that fold the virtual process grid badly onto the

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.evaluation import run_experiment
 from repro.halo import (
     best_mapping,
     get_protocol,
@@ -140,6 +141,22 @@ def test_sweep_returns_points():
     assert all(p.seconds > 0 for p in pts)
     # Cost grows with halo width.
     assert pts[-1].seconds > pts[0].seconds
+
+
+def test_fig2_analyzes_each_configuration_once(monkeypatch):
+    """Fig. 2's six panels plot 82 (grid, mode, mapping) benchmarks, 64
+    of them distinct; each distinct one's link loads are analysed once."""
+    analyzed = []
+    analyze = HaloBenchmark._analyze_phases
+
+    def counting(self):
+        if self._phases is None:
+            analyzed.append((self.grid, self.mode.mode, self.mapping_name))
+        return analyze(self)
+
+    monkeypatch.setattr(HaloBenchmark, "_analyze_phases", counting)
+    run_experiment("fig2")
+    assert len(analyzed) == len(set(analyzed)) == 64
 
 
 def test_grid_capacity_validated():
