@@ -676,23 +676,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_list(_args: argparse.Namespace) -> int:
-    from .perf import benchmark_ids, discover_scripts, get_benchmark
+    from .perf import benchmark_ids, get_benchmark
 
     print("registered micro-benchmarks:")
     for name in benchmark_ids():
         bench = get_benchmark(name)
         budget = f"  [budget {bench.budget_s:g}s]" if bench.budget_s else ""
         print(f"  {name:32s} {bench.description}{budget}")
-    scripts = discover_scripts()
-    if scripts:
-        print("bench scripts (run with `bench run --scripts`):")
-        for script in scripts:
-            print(f"  {script.name}")
     return 0
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .perf import discover_scripts, run_benchmarks, run_script_benchmarks
+    from .perf import run_benchmarks
 
     def progress(name, entry):
         print(
@@ -710,15 +705,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.scripts:
-        try:
-            entries = run_script_benchmarks(discover_scripts())
-        except (RuntimeError, ValueError) as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        for name, entry in sorted(entries.items()):
-            progress(name, entry)
-        snap.entries.update(entries)
     path = snap.write(args.output)
     print(f"wrote {path}")
     over = snap.over_budget()
@@ -1187,7 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     bench_sub.add_parser(
-        "list", help="list registered micro-benchmarks and bench scripts"
+        "list", help="list the registered micro-benchmarks"
     ).set_defaults(fn=_cmd_bench_list)
 
     p_brun = bench_sub.add_parser(
@@ -1209,11 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_brun.add_argument(
         "--warmup", type=int, default=1, metavar="N",
         help="discarded warmup repetitions (default: 1)",
-    )
-    p_brun.add_argument(
-        "--scripts", action="store_true",
-        help="also execute the benchmarks/bench_*.py pytest scripts and "
-             "fold their timings into the snapshot",
     )
     p_brun.set_defaults(fn=_cmd_bench_run)
 

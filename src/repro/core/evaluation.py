@@ -1,9 +1,10 @@
 """The experiment registry: every table/figure of the paper, by id.
 
 ``run_experiment("fig4")`` (or ``"table3"`` …) regenerates that
-artifact as renderable text; ``EXPERIMENTS`` lists everything.  The
-``benchmarks/`` tree wraps these for pytest-benchmark; the examples
-call them directly.
+artifact as renderable text; ``EXPERIMENTS`` lists everything.
+``repro run <id> -o DIR`` writes it to ``DIR/<id>.txt``, which is how
+the golden copies in ``benchmarks/output/`` are refreshed; the
+examples call these functions directly.
 """
 
 from __future__ import annotations

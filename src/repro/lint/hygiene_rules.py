@@ -245,7 +245,7 @@ class MissingAllRule(Rule):
             return
         # Test and pytest-plugin modules are imported by path, never
         # ``from``-imported: an export list would be dead weight.
-        if stem.startswith(("test_", "bench_")) or stem == "conftest":
+        if stem.startswith("test_") or stem == "conftest":
             return
         if "tests" in src.path.split("/"):
             return

@@ -4,9 +4,9 @@ Three pillars, all about the simulator's own *host* cost (the
 complement of :mod:`repro.obs`, which observes *simulated* time):
 
 * a benchmark harness (:mod:`repro.perf.suite`,
-  :mod:`repro.perf.harness`) running registered DES micro-benchmarks
-  and the ``benchmarks/bench_*.py`` scripts into schema-validated
-  ``BENCH_<host>.json`` snapshots (:mod:`repro.perf.snapshot`);
+  :mod:`repro.perf.harness`) running the registered micro-benchmarks
+  into schema-validated ``BENCH_<host>.json`` snapshots
+  (:mod:`repro.perf.snapshot`);
 * a self-profiler (:mod:`repro.perf.profiler`): one cProfile capture
   of any block, its self time rolled up by ``repro`` layer (outside
   code billed to its callers) plus the top-N hotspots, exported next
@@ -21,12 +21,7 @@ repo's determinism lint.
 """
 
 from .compare import BenchDelta, compare_snapshots, Comparison, parse_percent
-from .harness import (
-    discover_scripts,
-    run_benchmarks,
-    run_script_benchmarks,
-    SLOWDOWN_ENV,
-)
+from .harness import run_benchmarks
 from .hostclock import host_counter, host_counter_ns, HostClock
 from .profiler import HOST_PID, HostProfiler
 from .snapshot import (
@@ -62,9 +57,6 @@ __all__ = [
     "get_benchmark",
     # harness
     "run_benchmarks",
-    "discover_scripts",
-    "run_script_benchmarks",
-    "SLOWDOWN_ENV",
     # profiler
     "HostProfiler",
     "HOST_PID",

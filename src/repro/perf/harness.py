@@ -1,61 +1,24 @@
-"""The benchmark runner: repetitions, warmup, budgets, script adoption.
+"""The benchmark runner: repetitions, warmup, budgets.
 
 ``run_benchmarks`` times registered micro-benchmarks
 (:mod:`repro.perf.suite`) with K repetitions after a warmup, through
-the sanctioned :mod:`repro.perf.hostclock`, and assembles a
-schema-valid :class:`~repro.perf.snapshot.Snapshot` whose code
-fingerprint reuses :func:`repro.campaign.cache.code_fingerprint` — the
-same identity the campaign result cache keys on, so a snapshot is
-attributable to the exact tree that produced it.
-
-The existing ``benchmarks/bench_*.py`` pytest scripts ride the same
-schema: ``run_script_benchmarks`` executes them under pytest with
-``--benchmark-json`` and folds pytest-benchmark's per-test stats into
-``script.<stem>::<test>`` entries, so ``repro bench compare`` gates
-micro- and script-level timings through one mechanism.
-
-``REPRO_BENCH_SLOWDOWN`` (a float multiplier applied to every sample)
-exists to *prove the gate trips*: CI takes one snapshot with
-``REPRO_BENCH_SLOWDOWN=2`` and asserts the compare against the honest
-snapshot exits nonzero.  It is test plumbing, never set in real runs.
+the sanctioned :mod:`repro.perf.hostclock` (or any ``clock=``, which
+is how the tests time on a fake clock), and assembles a schema-valid
+:class:`~repro.perf.snapshot.Snapshot` whose code fingerprint reuses
+:func:`repro.campaign.cache.code_fingerprint` — the same identity the
+campaign result cache keys on, so a snapshot is attributable to the
+exact tree that produced it.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import subprocess
-import sys
-import tempfile
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .hostclock import host_counter
 from .snapshot import BenchEntry, Snapshot
 from .suite import Benchmark, benchmark_ids, get_benchmark
 
-__all__ = [
-    "run_benchmarks",
-    "discover_scripts",
-    "run_script_benchmarks",
-    "SLOWDOWN_ENV",
-]
-
-#: Environment variable multiplying every measured sample (gate-proof only).
-SLOWDOWN_ENV = "REPRO_BENCH_SLOWDOWN"
-
-
-def _slowdown() -> float:
-    raw = os.environ.get(SLOWDOWN_ENV)
-    if not raw:
-        return 1.0
-    try:
-        factor = float(raw)
-    except ValueError:
-        raise ValueError(f"{SLOWDOWN_ENV}={raw!r} is not a number") from None
-    if factor <= 0:
-        raise ValueError(f"{SLOWDOWN_ENV} must be positive, got {factor}")
-    return factor
+__all__ = ["run_benchmarks"]
 
 
 def _time_one(
@@ -74,10 +37,6 @@ def _time_one(
         samples.append(max(0.0, clock() - t0))
         if out:
             meta.update(out)
-    factor = _slowdown()
-    if factor != 1.0:
-        samples = [s * factor for s in samples]
-        meta["slowdown_injected"] = factor
     return BenchEntry(
         name=bench.name,
         samples_s=samples,
@@ -121,100 +80,3 @@ def run_benchmarks(
         host=Snapshot.capture_host(),
         code_fingerprint=code_fingerprint(),
     )
-
-
-# ---------------------------------------------------------------------------
-# bench_*.py script adoption
-# ---------------------------------------------------------------------------
-
-
-def _benchmarks_dir() -> pathlib.Path:
-    import repro
-
-    return pathlib.Path(repro.__file__).resolve().parents[2] / "benchmarks"
-
-
-def discover_scripts(
-    directory: Optional[pathlib.Path] = None,
-) -> List[pathlib.Path]:
-    """The ``bench_*.py`` scripts of the checkout, sorted by name."""
-    root = directory if directory is not None else _benchmarks_dir()
-    if not root.is_dir():
-        return []
-    return sorted(root.glob("bench_*.py"))
-
-
-def run_script_benchmarks(
-    scripts: Iterable[pathlib.Path],
-    extra_pytest_args: Optional[List[str]] = None,
-) -> Dict[str, BenchEntry]:
-    """Execute bench scripts under pytest; fold stats into entries.
-
-    Each pytest-benchmark test in a script becomes one
-    ``script.<stem>::<test>`` entry built from pytest-benchmark's own
-    sample list (so min/median/stddev agree with its report).  A script
-    whose tests use no ``benchmark`` fixture contributes a single
-    whole-script wall-time entry instead, so every bench file is
-    representable.  A failing script raises ``RuntimeError`` with the
-    pytest tail.
-    """
-    entries: Dict[str, BenchEntry] = {}
-    factor = _slowdown()
-    for script in scripts:
-        script = pathlib.Path(script)
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-            report = pathlib.Path(tmp) / "benchmark.json"
-            cmd = [
-                sys.executable,
-                "-m",
-                "pytest",
-                str(script),
-                "-q",
-                "-p",
-                "no:cacheprovider",
-                f"--benchmark-json={report}",
-            ] + (extra_pytest_args or [])
-            t0 = host_counter()
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            elapsed = host_counter() - t0
-            if proc.returncode != 0:
-                tail = "\n".join((proc.stdout + proc.stderr).splitlines()[-15:])
-                raise RuntimeError(
-                    f"bench script {script.name} failed (exit {proc.returncode}):\n{tail}"
-                )
-            stem = script.stem
-            folded = _fold_pytest_benchmark_report(stem, report, factor)
-            if folded:
-                entries.update(folded)
-            else:
-                entries[f"script.{stem}"] = BenchEntry(
-                    name=f"script.{stem}",
-                    samples_s=[elapsed * factor],
-                    warmup=0,
-                    meta={"source": script.name, "kind": "whole-script"},
-                )
-    return entries
-
-
-def _fold_pytest_benchmark_report(
-    stem: str, report: pathlib.Path, factor: float
-) -> Dict[str, BenchEntry]:
-    try:
-        doc = json.loads(report.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    entries: Dict[str, BenchEntry] = {}
-    for bench in doc.get("benchmarks", []):
-        test = bench.get("name", "?")
-        stats = bench.get("stats", {})
-        samples = stats.get("data") or []
-        if not samples:
-            continue
-        name = f"script.{stem}::{test}"
-        entries[name] = BenchEntry(
-            name=name,
-            samples_s=[float(s) * factor for s in samples],
-            warmup=int(stats.get("warmup_iterations", 0) or 0),
-            meta={"source": f"{stem}.py", "kind": "pytest-benchmark"},
-        )
-    return entries

@@ -4,8 +4,8 @@ Each benchmark is one *host-timed iteration* of a hot path the
 simulator's wall-clock depends on: event-heap churn in the engine,
 eager and rendezvous p2p in ``simmpi``, software and tree collectives,
 torus routing, Chrome-trace export throughput, and the full-tree lint
-pass (which carries the 5 s CI budget formerly hard-coded in
-``benchmarks/bench_lint.py``).
+pass (which carries the 5 s CI budget: ``repro bench run`` exits 1
+when a benchmark's median exceeds its ``budget_s``).
 
 A benchmark function performs the work once and returns a small
 ``meta`` dict of deterministic facts (sizes, counts — never times);
@@ -253,8 +253,7 @@ def _lint_tree() -> List[str]:
     return [str(d) for d in dirs]
 
 
-#: CI budget for one full-tree lint pass, in seconds (moved here from
-#: benchmarks/bench_lint.py so every budget lives in one mechanism).
+#: CI budget for one full-tree lint pass, in seconds.
 LINT_BUDGET_S = 5.0
 
 

@@ -73,6 +73,23 @@ def _remaining(plan: Optional[FaultPlan], after: float) -> Optional[FaultPlan]:
     return FaultPlan(tuple(ev for ev in plan if ev.time > after))
 
 
+def _release(env: Engine, runtime: RecoveryRuntime) -> None:
+    """Break the reference cycles of an attempt a restart drops.
+
+    The failure stopped ``env`` with events still queued, and each
+    event refers back to the engine.  A rank that died of an exception
+    keeps it as its process value, and the exception's traceback keeps
+    the rank's frames, which keep its communicator and with it the
+    whole attempt.  Left alone, both wait for a cyclic collection, and
+    so does everything the traceback of the error that ended the
+    attempt reaches: the frame of :func:`run_recovered` and its callers.
+    """
+    env.abandon()
+    for proc in runtime._procs:
+        if proc.triggered and not proc.ok:
+            proc.value.__traceback__ = None
+
+
 def run_recovered(
     policy: RecoveryPolicy,
     cluster_factory: Callable[[Engine], Any],
@@ -144,6 +161,7 @@ def run_recovered(
                     ) from exc
                 raise
             runtime.finalize_failed(fail_time)
+            _release(env, runtime)
             segments.extend(runtime.segments)
             start_step = runtime.durable_step + 1
             schedule = policy.schedule

@@ -204,6 +204,9 @@ class RecoveryRuntime:
         self._ckpt_done: Set[int] = set()
         self._steps_recorded: Set[Tuple[int, int]] = set()
         self._agreements: Dict[int, _Agreement] = {}
+        #: rendezvous envelopes a fault dropped with nobody resending;
+        #: the transport parks them here for the next revoke
+        self.stranded: List[Any] = []
         self._abort_recorded: Set[int] = set()
         self._finalized = False
         self._attached = False
@@ -256,7 +259,8 @@ class RecoveryRuntime:
           closed so ``finally`` blocks run) and their process events
           resolve to :data:`RANK_FAILED`;
         * every *pending* blocking operation anywhere — posted
-          receives, rendezvous senders, hardware-collective
+          receives, rendezvous senders (including the two sides of a
+          rendezvous a fault dropped in flight), hardware-collective
           rendezvous, in-flight agreements — fails with
           :class:`RankFailedError` (the revoke: peers blocked on a
           live rank that will now abort must not hang);
@@ -311,6 +315,17 @@ class RecoveryRuntime:
                     done.defuse()
                     revoked += 1
             queue.unexpected.clear()
+        for envl in self.stranded:
+            msg = envl.msg
+            for event, op, rank, peer in (
+                (envl.sender_done, "send", msg.src, msg.dst),
+                (envl.matched_recv, "recv", msg.dst, msg.src),
+            ):
+                if event is not None and not event.triggered:
+                    event.fail(err(op, rank=rank, peer=peer))
+                    event.defuse()
+                    revoked += 1
+        self.stranded.clear()
 
         # 3. Fail pending hardware-collective rendezvous: a collective
         # over the world communicator can never complete again.

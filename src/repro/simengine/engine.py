@@ -157,6 +157,24 @@ class Engine:
         """Number of events currently scheduled (the queue depth)."""
         return self._scheduled - self.events_processed
 
+    def abandon(self) -> None:
+        """Drop every queued event, and what each would have called.
+
+        For a run given up for good after an exception: a queued event
+        refers back to this engine, and its callbacks to the events
+        waiting on it, so an engine dropped with its queue frees only
+        in a cyclic collection.
+        """
+        for event in self._ready:
+            event.callbacks = None
+        for events in self._later.values():
+            for event in events:
+                event.callbacks = None
+        self._ready.clear()
+        self._later.clear()
+        self._times.clear()
+        self._scheduled = self.events_processed
+
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
 

@@ -127,6 +127,8 @@ class _Envelope:
     rts_arrived: bool = False
     #: rendezvous: the matched receive's completion event
     matched_recv: Optional[Event] = None
+    #: rendezvous under recovery: the shrink generation at send time
+    generation: int = 0
 
 
 @dataclass(slots=True)
@@ -416,9 +418,11 @@ class Transport:
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
         self._check_dead(src, dst, "send")
+        # the shrink generation the send is posted in (see _rts_arrived)
+        generation = 0 if self.recovery is None else self.recovery.generation
         if self._send_hooks:
-            return self._send_observed(src, dst, nbytes, tag, payload)
-        return self._send_impl(src, dst, nbytes, tag, payload)
+            return self._send_observed(src, dst, nbytes, tag, payload, generation)
+        return self._send_impl(src, dst, nbytes, tag, payload, generation)
 
     def _check_dead(self, src: int, dst: int, op: str) -> None:
         """ULFM: touching a dead rank raises at the initiating peer."""
@@ -435,15 +439,19 @@ class Transport:
                 rank=src if op == "send" else dst, peer=peer,
             )
 
-    def _send_observed(self, src: int, dst: int, nbytes: int, tag: int, payload: Any):
+    def _send_observed(
+        self, src: int, dst: int, nbytes: int, tag: int, payload: Any, generation: int
+    ):
         """:meth:`_send_impl`, then every send hook once at completion."""
         start = self.env.now
-        yield from self._send_impl(src, dst, nbytes, tag, payload)
+        yield from self._send_impl(src, dst, nbytes, tag, payload, generation)
         end = self.env.now
         for hook in self._send_hooks:
             hook(src, dst, nbytes, tag, start, end)
 
-    def _send_impl(self, src: int, dst: int, nbytes: int, tag: int, payload: Any):
+    def _send_impl(
+        self, src: int, dst: int, nbytes: int, tag: int, payload: Any, generation: int
+    ):
         mpi = self.machine.mpi
         self.messages_sent += 1
         self.bytes_sent += nbytes
@@ -470,20 +478,27 @@ class Transport:
         # Rendezvous (network only): RTS control message first, then the
         # bulk transfer.
         done = Event(self.env)
-        envl = _Envelope(msg, sender_done=done, nodes=(a, b))
+        envl = _Envelope(msg, sender_done=done, nodes=(a, b), generation=generation)
         delay = yield from self._transit(a, b, 0, msg)
         if delay is not None:
             self._schedule_rts_arrival(envl, delay)
+        elif self.recovery is not None:
+            self.recovery.stranded.append(envl)
         # else the RTS died and nobody will resend it; the sender blocks
-        # forever — the sanitizer reports the hang.
+        # forever (or until a node failure's revoke releases it) — the
+        # sanitizer reports the hang.
         yield done
 
     def _rts_arrived(self, envelope: _Envelope) -> None:
         envelope.rts_arrived = True
         recovery = self.recovery
-        if recovery is not None and envelope.msg.dst in recovery.dead_ranks:
-            # The receiver died while the RTS was in flight: fail the
-            # sender instead of parking the envelope forever.
+        if recovery is not None and (
+            envelope.msg.dst in recovery.dead_ranks
+            or envelope.generation != recovery.generation
+        ):
+            # The receiver died, or a failure revoked the communicator,
+            # while the RTS was in flight: fail the sender instead of
+            # parking the envelope where no receive will match it.
             done = envelope.sender_done
             if done is not None and not done.triggered:
                 from ..recovery.errors import RankFailedError
@@ -517,8 +532,11 @@ class Transport:
             self._fail_rendezvous(envelope, err)
             return
         if lost is not None:
-            # Transfer died in flight with nobody retransmitting:
-            # both sides hang (fault-kill, flagged by the sanitizer).
+            # Transfer died in flight with nobody retransmitting: both
+            # sides hang (fault-kill, flagged by the sanitizer) unless
+            # a node failure's revoke releases them.
+            if self.recovery is not None:
+                self.recovery.stranded.append(envelope)
             return
         self._deliver_rendezvous(envelope, self.machine.mpi.rendezvous_overhead + delay)
 

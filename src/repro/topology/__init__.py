@@ -1,7 +1,6 @@
 """Interconnect topologies: 3-D torus, collective tree, barrier network,
 process mappings, and the allocation/fragmentation model."""
 
-from .analysis import analyze_pattern, compare_mappings, TrafficAnalysis
 from .barrier import BarrierNetwork, software_barrier_time
 from .mapping import (
     coords_of_rank,
@@ -29,7 +28,4 @@ __all__ = [
     "rank_of_coords",
     "Partition",
     "allocate",
-    "TrafficAnalysis",
-    "analyze_pattern",
-    "compare_mappings",
 ]

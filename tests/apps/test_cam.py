@@ -139,6 +139,9 @@ def test_hybrid_extends_scalability():
     for large processor counts'."""
     cm = CamModel(BGP, SPECTRAL_T85)
     assert cm.run(2048, hybrid=True).syd > 1.5 * cm.run(2048, hybrid=False).syd
+    for bmk in (SPECTRAL_T42, SPECTRAL_T85, FV_1_9x2_5):
+        cm, cores = CamModel(BGP, bmk), 4 * bmk.mpi_rank_limit
+        assert cm.run(cores, hybrid=True).syd > 1.5 * cm.run(cores, hybrid=False).syd
 
 
 def test_hybrid_comparable_small_counts():
@@ -154,7 +157,7 @@ def test_spectral_factor_xt4():
     """'the BG/P is never less than ... 3.1 slower than the XT4 for the
     spectral Eulerian benchmark problems'."""
     for bmk in (SPECTRAL_T42, SPECTRAL_T85):
-        for cores in (16, 64):
+        for cores in (16, 32, 64):
             ratio = (
                 CamModel(XT4_QC, bmk).run(cores).syd
                 / CamModel(BGP, bmk).run(cores).syd
@@ -164,11 +167,13 @@ def test_spectral_factor_xt4():
 
 def test_spectral_factor_xt3():
     """'never less than a factor of 2.1 slower than the XT3'."""
-    ratio = (
-        CamModel(XT3, SPECTRAL_T85).run(64).syd
-        / CamModel(BGP, SPECTRAL_T85).run(64).syd
-    )
-    assert ratio >= 2.05
+    for bmk in (SPECTRAL_T42, SPECTRAL_T85):
+        for cores in (32, 64):
+            ratio = (
+                CamModel(XT3, bmk).run(cores).syd
+                / CamModel(BGP, bmk).run(cores).syd
+            )
+            assert ratio >= 2.05
 
 
 def test_fv_factors():
@@ -184,9 +189,10 @@ def test_fv_factors():
 def test_fv_largest_pure_mpi_fails_on_bgp():
     """Fig. 5b: pure-MPI FV 0.47x0.63 runs do not complete on BG/P."""
     cm = CamModel(BGP, FV_0_47x0_63)
-    with pytest.raises(MemoryError):
-        cm.run(1024, hybrid=False)
-    cm.run(1024, hybrid=True)  # hybrid works
+    for cores in (1024, 2048):
+        with pytest.raises(MemoryError):
+            cm.run(cores, hybrid=False)
+        assert cm.run(cores, hybrid=True).syd > 0  # hybrid works
 
 
 def test_sweep_skips_failures():

@@ -107,8 +107,9 @@ def test_b3_both_scale_to_2048():
 def test_b3_dual_mode_on_bgp():
     """Fig. 7b: 'on BG/P the code had to be run in "DUAL" mode due to
     memory requirements'."""
-    assert GyroModel(BGP, B3_GTC).run(512).mode == "DUAL"
-    assert GyroModel(XT4_QC, B3_GTC).run(512).mode == "VN"
+    for p in (512, 2048):
+        assert GyroModel(BGP, B3_GTC).run(p).mode == "DUAL"
+        assert GyroModel(XT4_QC, B3_GTC).run(p).mode == "VN"
 
 
 def test_b1_fits_vn():
@@ -122,7 +123,7 @@ def test_modified_b3_fits_bgp_vn():
 
 def test_weak_scaling_bgp_close_to_bgl():
     """Fig. 7c: 'the BG/P and BG/L numbers are almost the same'."""
-    for p in (64, 256, 2048):
+    for p in (64, 256, 1024, 2048):
         b = GyroModel(BGP, B3_GTC_MODIFIED).weak_scaling([p])[0].seconds_per_step
         bgl = GyroModel(BGL, B3_GTC_MODIFIED).weak_scaling([p])[0].seconds_per_step
         assert b == pytest.approx(bgl, rel=0.25)

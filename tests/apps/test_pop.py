@@ -158,8 +158,10 @@ def test_bgp_scales_to_40000():
     """Fig. 4a: 'scaling is linear out to 8000 processes, and is still
     scaling well out to 40,000'."""
     pop = PopModel(BGP)
-    r8, r40 = pop.run(8000), pop.run(40000)
-    assert r40.syd / r8.syd > 2.5  # well above flat
+    syd = {p: pop.run(p).syd for p in (2000, 4000, 8000, 40000)}
+    assert syd[4000] / syd[2000] == pytest.approx(2.0, rel=0.1)  # linear
+    assert syd[8000] / syd[4000] == pytest.approx(2.0, rel=0.1)
+    assert syd[40000] / syd[8000] > 2.5  # well above flat
 
 
 def test_memory_wall_beyond_40000():
@@ -206,6 +208,21 @@ def test_xt4_barotropic_saturates():
     )
     bgp = PopModel(BGP)
     assert bgp.run(40000).barotropic_s_per_day < bgp.run(8000).barotropic_s_per_day
+
+
+def test_bgp_barotropic_beats_xt4_at_22500():
+    """Fig. 4d: 'Barotropic performance is superior on the BG/P for
+    22500 processes (and higher)'."""
+    bgp = PopModel(BGP).run(22500).barotropic_s_per_day
+    assert bgp < PopModel(XT4_DC).run(22500).barotropic_s_per_day
+
+
+def test_imbalance_comparable_to_barotropic():
+    """Fig. 4b: 'the Baroclinic load imbalance ... is as large as the
+    cost of the Barotropic phase for 8000 to 20000 processes'."""
+    for p in (8000, 16000):
+        r = PopModel(BGP).run(p)
+        assert 0.5 < r.imbalance_s_per_day / r.barotropic_s_per_day < 10
 
 
 def test_bgp_barotropic_less_than_half_baroclinic_at_40k():

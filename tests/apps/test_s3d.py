@@ -17,7 +17,7 @@ from repro.apps.s3d import (
     S3dModel,
     SPECIES,
 )
-from repro.machines import BGL, BGP, XT3, XT4_QC
+from repro.machines import BGL, BGP, XT3, XT4_DC, XT4_QC
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_pressure_wave_splits_into_two():
 def test_weak_scaling_flat():
     """'S3D exhibits excellent parallel performance on several
     architectures' — the flat lines of Fig. 6."""
-    for machine in (BGP, XT4_QC):
+    for machine in (BGP, BGL, XT3, XT4_DC, XT4_QC):
         model = S3dModel(machine)
         costs = [
             model.run(p).core_hours_per_point_step for p in (1, 64, 4096)
@@ -182,13 +182,15 @@ def test_bgp_costs_more_per_point():
 
 
 def test_platform_ordering():
-    """Newer generations are cheaper per point-step."""
-    costs = {
-        m.name: S3dModel(m).run(64).core_hours_per_point_step
-        for m in (BGL, BGP, XT3, XT4_QC)
-    }
-    assert costs["BG/P"] < costs["BG/L"]
-    assert costs["XT4/QC"] < costs["XT3"]
+    """Newer generations are cheaper per point-step, and the XT4/QC
+    cheaper than the BG/P."""
+    for p in (64, 512):
+        costs = {
+            m.name: S3dModel(m).run(p).core_hours_per_point_step
+            for m in (BGL, BGP, XT3, XT4_QC)
+        }
+        assert costs["XT4/QC"] < costs["BG/P"] < costs["BG/L"]
+        assert costs["XT4/QC"] < costs["XT3"]
 
 
 def test_50_cubed_default():

@@ -38,6 +38,21 @@ def test_axes_expand_last_fastest():
     assert [j.job_id for j in jobs] == [j.job_id for j in spec.expand()]
 
 
+def test_mixed_entries_expand_in_order():
+    """A plain id and two swept entries expand to 1 + 5 + 3 jobs, the
+    same jobs from every parse of the same document."""
+    doc = {
+        "jobs": [
+            "table1",
+            {"experiment": "fig6", "axes": {"edge": [30, 40, 50, 60, 70]}},
+            {"experiment": "fig3", "axes": {"nbytes": [16384, 32768, 65536]}},
+        ]
+    }
+    jobs = CampaignSpec.from_dict(doc).expand()
+    assert [j.experiment for j in jobs] == ["table1"] + ["fig6"] * 5 + ["fig3"] * 3
+    assert jobs == CampaignSpec.from_dict(doc).expand()
+
+
 def test_axes_merge_over_params():
     spec = CampaignSpec.from_dict(
         {"jobs": [{"experiment": "fig3", "params": {"processes": 4096}, "axes": {"nbytes": [1024]}}]}

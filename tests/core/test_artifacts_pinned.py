@@ -2,9 +2,9 @@
 
 ``benchmarks/output/<id>.txt`` pins each artifact byte for byte, in the
 shape every artifact writer produces (text plus one trailing newline).
-A deliberate output change refreshes the pin by rerunning the bench
-scripts (``python -m pytest benchmarks/bench_<id>.py``), which shows up
-as a reviewable ``.txt`` diff.
+A deliberate output change refreshes one pin with ``repro run <id> -o
+benchmarks/output/``, which writes only ``<id>.txt`` and shows up as a
+reviewable ``.txt`` diff; no other command writes there.
 """
 
 import pathlib
@@ -25,5 +25,5 @@ def test_artifact_matches_pin(eid):
 
 def test_every_artifact_is_pinned():
     assert len(experiment_ids()) == 13
-    pins = {p.stem for p in PINNED.glob("*.txt")} - {"bench_lint"}
+    pins = {p.stem for p in PINNED.glob("*.txt")}
     assert pins == set(experiment_ids())

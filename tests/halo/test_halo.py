@@ -95,6 +95,14 @@ def test_protocol_insensitivity_small_halos():
     assert max(times) / min(times) < 2.5
 
 
+def test_protocol_choice_minor_on_a_large_grid():
+    """Fig. 2a/b on a 32x32 grid, small and large halos alike."""
+    hb = HaloBenchmark(BGP, grid=(32, 32), mode="VN", mapping="TXYZ")
+    for words in (8, 2048):
+        times = [hb.time_analytic(words, p) for p in PROTOCOLS]
+        assert max(times) / min(times) < 2.5
+
+
 def test_sendrecv_slower_at_some_sizes():
     """Fig. 2a: 'MPI_SENDRECV is slower than the other options for
     certain halo sizes'."""
@@ -114,6 +122,11 @@ def test_mapping_unimportant_small_volumes():
         for m in ("TXYZ", "XYZT", "TZYX")
     ]
     assert max(times) / min(times) < 1.5
+    times = [
+        HaloBenchmark(BGP, (64, 64), mode="VN", mapping=m).time_analytic(4)
+        for m in PAPER_FIG2_MAPPINGS
+    ]
+    assert max(times) / min(times) < 1.5
 
 
 def test_mapping_important_large_volumes():
@@ -129,9 +142,11 @@ def test_mapping_important_large_volumes():
 def test_cost_flat_in_grid_size():
     """Fig. 2e/f: 'the cost does not appear to be increasing as a
     function of the processor grid size' — good scalability."""
-    small = best_mapping(BGP, (16, 16), 2048, list(PAPER_FIG2_MAPPINGS))[1]
-    large = best_mapping(BGP, (64, 64), 2048, list(PAPER_FIG2_MAPPINGS))[1]
-    assert large < 3 * small
+    best = [
+        best_mapping(BGP, grid, 2048, list(PAPER_FIG2_MAPPINGS))[1]
+        for grid in ((16, 16), (32, 32), (64, 64))
+    ]
+    assert max(best) < 3 * min(best)
 
 
 def test_sweep_returns_points():

@@ -66,10 +66,11 @@ def test_fft_model_shape():
     """Fig. 1b: XT above BG/P, both scale with process count."""
     fb, fx = FftModel(BGP), FftModel(XT4_QC)
     assert fb.single_process_gflops() < fx.single_process_gflops()
+    procs = (256, 512, 1024, 2048, 4096, 8192)
     for model in (fb, fx):
-        totals = [model.mpi_run(p).gflops_total for p in (256, 1024, 4096)]
+        totals = [model.mpi_run(p).gflops_total for p in procs]
         assert totals == sorted(totals)
-    for p in (256, 1024, 4096):
+    for p in procs:
         assert fb.mpi_run(p).gflops_total < fx.mpi_run(p).gflops_total
 
 

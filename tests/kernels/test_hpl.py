@@ -91,9 +91,13 @@ def test_both_machines_scale_well():
 
 
 def test_rate_monotone_in_processes():
-    m = HplModel(BGP)
-    rates = [m.run(p).gflops for p in (256, 512, 1024, 2048)]
-    assert rates == sorted(rates)
+    """Fig. 1a: near-linear doubling from 256 to 8192 processes, with
+    the BG/P below the XT at every count."""
+    procs = (256, 512, 1024, 2048, 4096, 8192)
+    rates = {m.name: [HplModel(m).run(p).gflops for p in procs] for m in (BGP, XT4_QC)}
+    for ys in rates.values():
+        assert all(1.8 < b / a < 2.1 for a, b in zip(ys, ys[1:]))
+    assert all(b < x for b, x in zip(rates["BG/P"], rates["XT4/QC"]))
 
 
 def test_invalid_processes():

@@ -260,7 +260,6 @@ def test_test_modules_are_exempt_from_all():
     assert lint_text(body, path="tests/apps/test_x.py") == []
     assert lint_text(body, path="tests/conftest.py") == []
     assert lint_text(body, path="tests/apps/__init__.py") == []
-    assert lint_text(body, path="benchmarks/bench_y.py") == []
 
 
 def test_main_guarded_scripts_are_exempt_from_all():

@@ -6,22 +6,36 @@ import re
 from repro.cli import main
 from repro.obs import validate_trace_events
 from repro.perf import (
+    benchmark_ids,
     HOST_PID,
     load_snapshot,
     run_benchmarks,
-    SLOWDOWN_ENV,
     snapshot_filename,
 )
+from repro.perf.suite import temporary_benchmark
 
-from .test_harness import FakeClock
+from .test_harness import _counting_bench, FakeClock
 
 
-def test_bench_list_shows_suite_and_scripts(capsys):
+def test_bench_list_shows_the_registered_suite(capsys):
     assert main(["bench", "list"]) == 0
-    out = capsys.readouterr().out
-    assert "engine.heap_churn" in out
-    assert "lint.full_tree" in out
-    assert "bench_lint.py" in out
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "registered micro-benchmarks:"
+    assert [row.split()[0] for row in rows] == benchmark_ids()
+
+
+def test_bench_run_exits_1_over_budget(tmp_path, capsys):
+    """The budget gate CI relies on (the lint benchmarks' 5 s): a
+    median over its ``budget_s`` fails the run after the snapshot is
+    written."""
+    bench = _counting_bench("t.over_budget", [], budget_s=1e-12)
+    with temporary_benchmark(bench):
+        code = main(
+            ["bench", "run", "t.over_budget", "-o", str(tmp_path), "-r", "1", "--warmup", "0"]
+        )
+    assert code == 1
+    assert (tmp_path / snapshot_filename()).is_file()
+    assert "BUDGET: t.over_budget" in capsys.readouterr().err
 
 
 def test_bench_run_writes_canonical_snapshot(tmp_path, capsys):
@@ -63,20 +77,20 @@ def test_bench_compare_self_is_clean(tmp_path, capsys):
     assert "GATE: ok" in capsys.readouterr().out
 
 
-def test_bench_compare_trips_on_injected_slowdown(tmp_path, capsys, monkeypatch):
+def test_bench_compare_trips_on_injected_slowdown(tmp_path, capsys):
     # A fake clock makes every sample one step long, so the slowed
     # snapshot's median is exactly twice the base's.  Timed on the host,
     # a base median that happens to run slow can hide an honest 2x
     # behind the gate's noise slack.
-    def snapshot(path):
-        run_benchmarks(["engine.heap_churn"], repeats=3, warmup=1, clock=FakeClock()).write(path)
+    def snapshot(path, step):
+        run_benchmarks(
+            ["engine.heap_churn"], repeats=3, warmup=1, clock=FakeClock(step=step)
+        ).write(path)
 
     base = tmp_path / "base.json"
     slow = tmp_path / "slow.json"
-    snapshot(base)
-    monkeypatch.setenv(SLOWDOWN_ENV, "2")
-    snapshot(slow)
-    monkeypatch.delenv(SLOWDOWN_ENV)
+    snapshot(base, 1.0)
+    snapshot(slow, 2.0)
     code = main(["bench", "compare", str(base), str(slow), "--fail-over", "15%"])
     assert code == 1
     assert "GATE: 1 failure(s)" in capsys.readouterr().out

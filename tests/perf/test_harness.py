@@ -1,8 +1,8 @@
-"""The benchmark runner: repetitions, warmup, registry, slowdown."""
+"""The benchmark runner: repetitions, warmup, registry."""
 
 import pytest
 
-from repro.perf import Benchmark, benchmark_ids, run_benchmarks, SLOWDOWN_ENV
+from repro.perf import Benchmark, benchmark_ids, run_benchmarks
 from repro.perf.suite import get_benchmark, temporary_benchmark
 
 
@@ -70,26 +70,6 @@ def test_budget_and_threshold_flow_into_the_entry():
     entry = snap.entries["t.budgeted"]
     assert entry.budget_s == 9.0
     assert entry.threshold == 0.4
-
-
-def test_slowdown_env_multiplies_samples(monkeypatch):
-    monkeypatch.setenv(SLOWDOWN_ENV, "2")
-    with temporary_benchmark(_counting_bench("t.slow", [])):
-        snap = run_benchmarks(["t.slow"], repeats=2, warmup=0, clock=FakeClock(step=1.0))
-    entry = snap.entries["t.slow"]
-    assert entry.samples_s == [2.0, 2.0]
-    assert entry.meta["slowdown_injected"] == 2.0
-
-
-def test_slowdown_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(SLOWDOWN_ENV, "fast")
-    with temporary_benchmark(_counting_bench("t.bad", [])):
-        with pytest.raises(ValueError, match=SLOWDOWN_ENV):
-            run_benchmarks(["t.bad"], repeats=1, warmup=0, clock=FakeClock())
-    monkeypatch.setenv(SLOWDOWN_ENV, "-1")
-    with temporary_benchmark(_counting_bench("t.neg", [])):
-        with pytest.raises(ValueError, match="positive"):
-            run_benchmarks(["t.neg"], repeats=1, warmup=0, clock=FakeClock())
 
 
 def test_parameter_validation():

@@ -200,3 +200,40 @@ def test_stale_subcomm_raises_after_second_failure():
     assert survivors == RANKS - len(runtime.dead_ranks)
     for r in runtime.live_ranks():
         assert res.returns[r] == survivors
+
+
+ALLREDUCES = 8
+ALLREDUCE_BYTES = 16 * 1024  # float32 on BG/P: software, rendezvous
+
+
+def _allreduces(comm):
+    for _ in range(ALLREDUCES):
+        yield from comm.allreduce(ALLREDUCE_BYTES, dtype="float32")
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.4, 0.5, 0.6])
+def test_revoke_releases_rendezvous_in_flight(fraction):
+    """A node dies while rendezvous sends are in flight: an RTS that
+    lands after the revoke, and a transfer the dead node's links drop,
+    must fail their ranks into the shrink instead of hanging them."""
+    healthy = Cluster(BGP, ranks=64, mode="SMP").run(_allreduces).elapsed
+    cluster = Cluster(BGP, ranks=64, mode="SMP")
+    plan = FaultPlan(
+        (NodeFail(time=fraction * healthy, node=cluster.mapping.node_of(5)),)
+    )
+
+    def program(comm):
+        try:
+            yield from _allreduces(comm)
+        except RankFailedError:
+            sub = yield from comm.shrink()
+            yield from sub.allreduce(ALLREDUCE_BYTES, dtype="float32")
+            return sub.size
+        return comm.size
+
+    res = cluster.run(
+        program, recovery=RecoveryPolicy(mode="shrink"), faults=plan,
+        sanitize=True,
+    )
+    assert res.returns[5] is RANK_FAILED
+    assert [v for r, v in enumerate(res.returns) if r != 5] == [63] * 63

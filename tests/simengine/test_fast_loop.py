@@ -7,7 +7,8 @@ Three properties keep the loop's speed from costing anything:
 * the DES runs it drives make no reference cycles, so holding the
   collector off frees nothing later than reference counting would, and
   a dropped cluster, with or without a fault injector or a recovery
-  runtime, frees by reference counting alone;
+  runtime, frees by reference counting alone, and so does a restarted
+  run with the attempts it aborted;
 * it processes the same events in the same (time, sequence) order as
   ``Engine.step``, the one-event reference, driven by hand.
 """
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultPlan, LinkFail, NodeFail
 from repro.machines import BGP, XT4_QC
+from repro.obs.scenarios import run_scenario
 from repro.recovery import RankFailedError, RecoveryPolicy
 from repro.simengine import Budget, BudgetExceeded, EmptySchedule, Engine
 from repro.simmpi import Cluster, ReliabilityPolicy
@@ -262,6 +264,19 @@ def test_des_runs_leave_no_cyclic_garbage(collector, name, steps):
     assert result.elapsed > 0 and cluster.env.events_processed > 0
     del cluster, result
     assert gc.collect() == 0, f"{name}: the dropped cluster is a reference cycle"
+
+
+def test_dropped_restart_run_leaves_no_cyclic_garbage(collector):
+    """A restart drops the attempt a node failure aborted, with events
+    still queued and the ranks' errors holding their frames; the whole
+    run must still free by reference counting once it is dropped."""
+    run_scenario("pop-restart", "recover", processes=8, steps=3)  # warm-up
+    gc.disable()
+    gc.collect()
+    tracer, line = run_scenario("pop-restart", "recover", processes=8, steps=3)
+    assert "2 attempt(s)" in line
+    del tracer, line
+    assert gc.collect() == 0, "pop-restart: the dropped run is a reference cycle"
 
 
 # ---------------------------------------------------------------------------
