@@ -14,7 +14,7 @@ message-level simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from ..machines.modes import Mode
 from ..machines.specs import MachineSpec
@@ -47,10 +47,15 @@ class ImbBenchmark:
     def __init__(self, machine: MachineSpec, mode: Mode | str = "VN") -> None:
         self.machine = machine
         self.mode = mode
+        #: the analytic model of each process count swept so far; the
+        #: points at one count share its partition
+        self._costs: Dict[int, CostModel] = {}
 
     # -- analytic curves -------------------------------------------------
     def _one(self, op: str, processes: int, nbytes: int, dtype: str) -> ImbPoint:
-        cost = CostModel(self.machine, self.mode, processes)
+        cost = self._costs.get(processes)
+        if cost is None:
+            cost = self._costs[processes] = CostModel(self.machine, self.mode, processes)
         if op == "allreduce":
             t = cost.allreduce_time(nbytes, dtype=dtype)
         elif op == "bcast":

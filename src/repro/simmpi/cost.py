@@ -76,29 +76,22 @@ class CostModel:
             TreeNetwork(nodes, machine.tree) if machine.tree is not None else None
         )
         self._barrier = BarrierNetwork(nodes)
+        # The partition, mode and machine are frozen, so every message
+        # round shares these two constants.
+        #: Mean route length in the partition, fragmentation-dilated.
+        self.avg_hops: float = partition.effective_hops(self._torus.average_distance())
+        #: Best-case single-message bandwidth for one rank, bytes/s: the
+        #: minimum of the single-route link bandwidth and this rank's
+        #: share of node injection bandwidth, degraded by background
+        #: contention on fragmented allocations.
+        self.p2p_bandwidth: float = (
+            min(machine.torus.single_stream_bandwidth, self.mode.injection_bw_per_task)
+            / partition.contention_multiplier
+        )
 
     # ------------------------------------------------------------------
     # building blocks
     # ------------------------------------------------------------------
-    @property
-    def avg_hops(self) -> float:
-        """Mean route length in the partition, fragmentation-dilated."""
-        return self.partition.effective_hops(self._torus.average_distance())
-
-    @property
-    def p2p_bandwidth(self) -> float:
-        """Best-case single-message bandwidth for one rank, bytes/s.
-
-        The minimum of the single-route link bandwidth and this rank's
-        share of node injection bandwidth; degraded by background
-        contention on fragmented allocations.
-        """
-        bw = min(
-            self.machine.torus.single_stream_bandwidth,
-            self.mode.injection_bw_per_task,
-        )
-        return bw / self.partition.contention_multiplier
-
     def shm_bandwidth(self) -> float:
         """Intra-node (shared-memory) transfer bandwidth, bytes/s.
 

@@ -83,3 +83,21 @@ def test_des_cross_check_small():
     des = bench.measure_des("bcast", processes=16, nbytes=4096)
     ana = bench.size_sweep("bcast", processes=16, sizes=[4096])[0]
     assert des.latency_us == pytest.approx(ana.latency_us, rel=1.0)
+
+
+def test_fig3_builds_one_cost_model_per_machine_and_count(monkeypatch):
+    """fig3 sweeps 72 points over two machines and six process counts;
+    the points at one count share their analytic model."""
+    from repro.core import run_experiment
+    from repro.simmpi import CostModel
+
+    builds = []
+    init = CostModel.__init__
+
+    def counting_init(self, machine, mode, ranks, *args, **kwargs):
+        builds.append((machine.name, mode, ranks))
+        init(self, machine, mode, ranks, *args, **kwargs)
+
+    monkeypatch.setattr(CostModel, "__init__", counting_init)
+    run_experiment("fig3", nbytes=2049, processes=128)
+    assert len(builds) == len(set(builds)) == 2 * 6

@@ -122,3 +122,25 @@ def test_partition_too_small_rejected():
     part = allocate(BGP, 2)
     with pytest.raises(ValueError):
         CostModel(BGP, "VN", 1024, partition=part)
+
+
+def test_partition_constants_computed_once(monkeypatch):
+    """``avg_hops`` is fixed at construction: the torus's mean distance
+    is taken once per model, not once per message round."""
+    from repro.topology.torus import Torus3D
+
+    calls = []
+    average_distance = Torus3D.average_distance
+
+    def counting(self):
+        calls.append(self.shape)
+        return average_distance(self)
+
+    monkeypatch.setattr(Torus3D, "average_distance", counting)
+    m = cm(XT4_QC, 1024)
+    for nbytes in (4, 2048, 2049, 1 << 20):
+        m.p2p_time(nbytes)
+        m.bcast_time(nbytes)
+        m.allreduce_time(nbytes, "float32")
+    m.random_ring_bandwidth()
+    assert len(calls) == 1

@@ -2,8 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.machines import all_machines, BGP, XT4_QC
+import numpy as np
+
+from repro.machines import all_machines, available_modes, resolve_mode, BGP, XT4_QC
 from repro.simmpi import CostModel
+from repro.topology.torus import Torus3D
 
 MACHINES = list(all_machines().values())
 
@@ -79,3 +82,35 @@ def test_modes_share_resources_consistently(tasks_exp, nbytes):
     vn = CostModel(BGP, "VN", 64)
     assert vn.mode.injection_bw_per_task <= smp.mode.injection_bw_per_task
     assert vn.mode.memory_per_task <= smp.mode.memory_per_task
+
+
+def _reference_avg_hops(c):
+    """The former ``avg_hops`` property: the partition's mean torus
+    distance, dilated by fragmentation, from a fresh torus."""
+    torus = Torus3D(c.partition.torus_shape, c.machine.torus)
+    return c.partition.effective_hops(torus.average_distance())
+
+
+def _reference_p2p_bandwidth(c):
+    """The former ``p2p_bandwidth`` property."""
+    bw = min(c.machine.torus.single_stream_bandwidth, c.mode.injection_bw_per_task)
+    return bw / c.partition.contention_multiplier
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MACHINES),
+    st.data(),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    st.floats(0.0, 1.0),
+)
+def test_partition_constants_match_reference(machine, data, seed, utilization):
+    """The constants fixed at construction equal, bit for bit, the
+    property formulas they replaced, on quiet and fragmented partitions."""
+    mode = data.draw(st.sampled_from(available_modes(machine)))
+    max_ranks = resolve_mode(machine, mode).ranks_for_nodes(machine.total_nodes)
+    ranks = data.draw(st.integers(1, min(max_ranks, 1 << 15)))
+    rng = None if seed is None else np.random.default_rng(seed)
+    c = CostModel(machine, mode, ranks, rng=rng, utilization=utilization)
+    assert c.avg_hops == _reference_avg_hops(c)
+    assert c.p2p_bandwidth == _reference_p2p_bandwidth(c)
