@@ -13,9 +13,11 @@ A campaign pass has two phases:
    Each finished job's artifact + cache entry is written *as it
    completes*, and its record is journaled then too — unless the job's
    last record in the journal is already that exact record (an all-hit
-   rerun after the first one appends nothing).  An interrupt therefore
-   loses at most the jobs in flight; the next pass cache-hits
-   everything already done and computes only the remainder.
+   rerun after the first one appends nothing).  In pool mode the freed
+   workers get their next jobs first, so they compute while the parent
+   writes.  An interrupt therefore loses at most the jobs in flight;
+   the next pass cache-hits everything already done and computes only
+   the remainder.
 
 Every durable write — artifact, cache entry, journal record, manifest —
 goes through the :class:`~repro.campaign.ledger.Ledger`, and pool mode
@@ -660,20 +662,24 @@ class CampaignRunner:
             seq += 1
             heapq.heappush(delayed, (self._now() + delay_s, seq, job, state))
 
+        def refill() -> None:
+            """Queue the retries now due, then fill every free slot."""
+            now = self._now()
+            while delayed and delayed[0][0] <= now:
+                _, _, job, state = heapq.heappop(delayed)
+                ready.append((job, state))
+            while ready and len(pool.flights) < self.jobs:
+                job, state = ready.popleft()
+                self._mark_running(+1)
+                pool.submit(
+                    job.job_id, job.experiment, job.params, state.attempts + 1,
+                    pool.free_slot(), (job, state),
+                )
+
         pool.start()
         try:
             while ready or delayed or pool.flights:
-                now = self._now()
-                while delayed and delayed[0][0] <= now:
-                    _, _, job, state = heapq.heappop(delayed)
-                    ready.append((job, state))
-                while ready and len(pool.flights) < self.jobs:
-                    job, state = ready.popleft()
-                    self._mark_running(+1)
-                    pool.submit(
-                        job.job_id, job.experiment, job.params, state.attempts + 1,
-                        pool.free_slot(), (job, state),
-                    )
+                refill()
                 if not pool.flights:  # only delayed retries remain
                     host_sleep(min(_POLL_S, max(0.0, delayed[0][0] - self._now())))
                     continue
@@ -681,6 +687,7 @@ class CampaignRunner:
                 # interval whenever a deadline could expire or a delayed
                 # retry could come due.
                 block = self.deadline_s is None and not delayed
+                finished: List[Tuple[Job, _JobState, JobOutcome]] = []
                 for flight, outcome in pool.reap(None if block else _POLL_S):
                     self._mark_running(-1)
                     job, state = flight.ticket
@@ -691,6 +698,12 @@ class CampaignRunner:
                         continue
                     self._note_chaos_keys(outcome.chaos)
                     self._trace_job(job, flight.slot, flight.start, outcome, flight.attempt)
+                    finished.append((job, state, outcome))
+                # Refill the freed slots before settling, so the workers
+                # run while the parent writes each artifact, cache entry
+                # and journal record.
+                refill()
+                for job, state, outcome in finished:
                     self._settle(result, records, keys, job, state, outcome, schedule_retry)
         finally:
             pool.close()

@@ -43,6 +43,45 @@ def test_jobs4_artifacts_byte_identical_to_serial(tmp_path):
     assert by_id(serial) == by_id(parallel)
 
 
+def test_pool_refills_freed_slots_before_settling(tmp_path, monkeypatch):
+    """A worker that hands back a job gets its next one before the parent
+    writes the first one's artifact, cache entry and journal record: every
+    job is settled while ``min(jobs, jobs not yet handed back)`` attempts
+    are in flight, so with one job returned at a time all but the last
+    two are settled with both workers busy."""
+    from repro.campaign import runner as runner_module
+    from repro.campaign.pool import PoolSupervisor
+
+    supervisors, reaped, seen = [], [0], []
+
+    class CountingSupervisor(PoolSupervisor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            supervisors.append(self)
+
+        def reap(self, timeout=0.0):
+            out = super().reap(timeout)
+            reaped[0] += len(out)
+            return out
+
+    settle = CampaignRunner._settle
+
+    def observed_settle(self, result, records, keys, job, *rest):
+        seen.append((job.job_id, len(supervisors[0].flights), total - reaped[0]))
+        return settle(self, result, records, keys, job, *rest)
+
+    monkeypatch.setattr(runner_module, "PoolSupervisor", CountingSupervisor)
+    monkeypatch.setattr(CampaignRunner, "_settle", observed_settle)
+    spec = CampaignSpec.from_dict(
+        {"jobs": [{"experiment": "fig6", "axes": {"edge": list(range(8, 16))}}]}
+    )
+    total = len(spec.expand())
+    result = CampaignRunner(spec, tmp_path / "pool", jobs=2).run()
+    assert result.done == total == len(seen) == 8
+    for job_id, in_flight, unreturned in seen:
+        assert in_flight == min(2, unreturned), (job_id, in_flight, unreturned)
+
+
 # ---------------------------------------------------------------------------
 # rerun: all hits, nothing touched
 # ---------------------------------------------------------------------------
