@@ -18,7 +18,8 @@ This module imports no other ``repro`` module, so a scenario lookup
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from functools import lru_cache
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
 __all__ = ["checked_entry", "parse_params"]
 
@@ -73,7 +74,7 @@ def checked_entry(
     except KeyError:
         raise KeyError(f"unknown {kind} {name!r}; known: {list(table)}") from None
     if params:
-        accepted = set(inspect.signature(fn).parameters)
+        accepted = _parameter_names(fn)
         unknown = sorted(set(params) - accepted)
         if unknown:
             raise KeyError(
@@ -81,3 +82,10 @@ def checked_entry(
                 f"supported: {sorted(accepted) or 'none'}"
             )
     return fn
+
+
+@lru_cache(maxsize=256)
+def _parameter_names(fn: Callable[..., Any]) -> FrozenSet[str]:
+    """The argument names of ``fn``, read from its signature once: a
+    campaign spec checks every one of its jobs against its function."""
+    return frozenset(inspect.signature(fn).parameters)

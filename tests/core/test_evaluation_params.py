@@ -65,3 +65,29 @@ def test_validate_experiment_params_matches_run_experiment():
         validate_experiment_params("fig6", {"bogus": 1})
     validate_experiment_params("fig6", {"edge": 40})  # no raise
     assert set(EXPERIMENTS) == set(experiment_ids())
+
+
+def test_checked_entry_reads_each_signature_once(monkeypatch):
+    """A campaign spec checks every job against its function; the
+    signature is read on the first check only, and a later unknown
+    parameter still gets the full message."""
+    import inspect
+
+    from repro.params import checked_entry
+
+    def experiment(edge=50, nbytes=8):
+        return ""
+
+    calls = []
+    signature = inspect.signature
+    monkeypatch.setattr(inspect, "signature", lambda fn: calls.append(fn) or signature(fn))
+    table = {"exp": experiment}
+    for edge in range(5):
+        assert checked_entry(table, "exp", {"edge": edge}, "experiment") is experiment
+    with pytest.raises(KeyError) as exc:
+        checked_entry(table, "exp", {"bogus": 1}, "experiment")
+    assert exc.value.args[0] == (
+        "experiment 'exp' does not take parameter(s) ['bogus']; "
+        "supported: ['edge', 'nbytes']"
+    )
+    assert calls == [experiment]
