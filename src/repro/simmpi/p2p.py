@@ -76,6 +76,16 @@ ANY_TAG = -1
 PATH_CACHE_SIZE = 16384
 
 
+def _booking_errors() -> Tuple[type, ...]:
+    """What :meth:`Transport._book` raises at a sender: a fault-kill, or
+    a dead rank under recovery.  An ``except`` clause evaluates this
+    only when something was raised; ``repro.recovery`` imports this
+    package, so its error is imported late."""
+    from ..recovery.errors import RankFailedError
+
+    return FaultError, RankFailedError
+
+
 @dataclass(frozen=True)
 class ReliabilityPolicy:
     """Parameters of the ack/timeout/retransmit protocol.
@@ -326,11 +336,15 @@ class Transport:
         The transport's one conversion of a
         :class:`~repro.topology.torus.NoRouteError`: a pair that
         failures have cut apart raises a :class:`FaultError` attributed
-        to ``msg``'s sender (one fault-kill).
+        to ``msg``'s sender (one fault-kill).  Under recovery, a pair
+        with a dead rank (its node died during the send overhead) raises
+        :class:`~repro.recovery.RankFailedError` instead, and counts no
+        kill.
         """
         try:
             return self._network_transit(a, b, nbytes)
         except NoRouteError as exc:
+            self._check_dead(msg.src, msg.dst, "send")
             raise self._kill(msg, attempt, reason=str(exc)) from exc
 
     def _transit(self, a: Coord, b: Coord, nbytes: int, msg: Message):
@@ -528,7 +542,7 @@ class Transport:
         a, b = envelope.nodes
         try:
             delay, lost = self._book(a, b, envelope.msg.nbytes, envelope.msg)
-        except FaultError as err:
+        except _booking_errors() as err:
             self._fail_rendezvous(envelope, err)
             return
         if lost is not None:
@@ -555,16 +569,18 @@ class Transport:
         msg = envelope.msg
         try:
             delay = yield from self._transit(a, b, msg.nbytes, msg)
-        except FaultError as err:
+        except _booking_errors() as err:
             self._fail_rendezvous(envelope, err)
             return
         yield self.env.timeout(delay)
         self._complete_rendezvous(envelope)
 
-    def _fail_rendezvous(self, envelope: _Envelope, err: FaultError) -> None:
+    def _fail_rendezvous(self, envelope: _Envelope, err: RuntimeError) -> None:
         """Kill both sides of a rendezvous with sender-side attribution.
 
-        ``err`` comes from :meth:`_kill`, which has counted the kill.
+        ``err`` is what :meth:`_book` raised: a :class:`FaultError` from
+        :meth:`_kill`, which has counted the kill, or a dead rank's
+        ``RankFailedError``.
         """
         recovery = self.recovery
         dead = recovery.dead_ranks if recovery is not None else ()

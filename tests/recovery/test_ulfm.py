@@ -237,3 +237,31 @@ def test_revoke_releases_rendezvous_in_flight(fraction):
     )
     assert res.returns[5] is RANK_FAILED
     assert [v for r, v in enumerate(res.returns) if r != 5] == [63] * 63
+
+
+@pytest.mark.parametrize("rank, fortieths", [(5, 5), (33, 10)])
+def test_send_booked_after_its_peer_died_raises_rank_failed(rank, fortieths):
+    """A send whose send overhead straddles its peer's node failure
+    books its route after the failure: the sender must see
+    ``RankFailedError`` and shrink, not a "no fault-free route"
+    ``FaultError`` that no recovery-aware program catches."""
+    healthy = Cluster(BGP, ranks=64, mode="SMP").run(_allreduces).elapsed
+    cluster = Cluster(BGP, ranks=64, mode="SMP")
+    node = cluster.mapping.node_of(rank)
+    plan = FaultPlan((NodeFail(time=fortieths / 40 * healthy, node=node),))
+
+    def program(comm):
+        try:
+            yield from _allreduces(comm)
+        except RankFailedError:
+            sub = yield from comm.shrink()
+            yield from sub.allreduce(ALLREDUCE_BYTES, dtype="float32")
+            return sub.size
+        return comm.size
+
+    res = cluster.run(
+        program, recovery=RecoveryPolicy(mode="shrink"), faults=plan,
+        sanitize=True,
+    )
+    assert res.returns[rank] is RANK_FAILED
+    assert [v for r, v in enumerate(res.returns) if r != rank] == [63] * 63
