@@ -255,7 +255,8 @@ def fig3_imb(nbytes: int = 32768, processes: int = 8192) -> str:
     )
     for b in benches:
         for dtype in ("float64", "float32"):
-            pts = [(p.nbytes, p.latency_us) for p in b.size_sweep("allreduce", processes, sizes, dtype)]
+            sweep = b.size_sweep("allreduce", processes, sizes, dtype)
+            pts = [(p.nbytes, p.latency_us) for p in sweep]
             fig.add(f"{b.machine.name} {dtype}", pts)
     out.append(fig.render())
 

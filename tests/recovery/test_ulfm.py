@@ -211,44 +211,23 @@ def _allreduces(comm):
         yield from comm.allreduce(ALLREDUCE_BYTES, dtype="float32")
 
 
-@pytest.mark.parametrize("fraction", [0.3, 0.4, 0.5, 0.6])
-def test_revoke_releases_rendezvous_in_flight(fraction):
+@pytest.mark.parametrize(
+    "rank, fraction",
+    [pytest.param(5, f, id=str(f)) for f in (0.3, 0.4, 0.5, 0.6)]
+    # the send overhead of a send to the failed node straddles the failure
+    + [pytest.param(5, 5 / 40, id="rank5-0.125"), pytest.param(33, 10 / 40, id="rank33-0.25")],
+)
+def test_revoke_releases_rendezvous_in_flight(rank, fraction):
     """A node dies while rendezvous sends are in flight: an RTS that
-    lands after the revoke, and a transfer the dead node's links drop,
-    must fail their ranks into the shrink instead of hanging them."""
+    lands after the revoke, a transfer the dead node's links drop, and
+    a send whose route is booked after the failure must fail their
+    ranks into the shrink with ``RankFailedError``, not hang them or
+    kill them with a "no fault-free route" ``FaultError``."""
     healthy = Cluster(BGP, ranks=64, mode="SMP").run(_allreduces).elapsed
     cluster = Cluster(BGP, ranks=64, mode="SMP")
     plan = FaultPlan(
-        (NodeFail(time=fraction * healthy, node=cluster.mapping.node_of(5)),)
+        (NodeFail(time=fraction * healthy, node=cluster.mapping.node_of(rank)),)
     )
-
-    def program(comm):
-        try:
-            yield from _allreduces(comm)
-        except RankFailedError:
-            sub = yield from comm.shrink()
-            yield from sub.allreduce(ALLREDUCE_BYTES, dtype="float32")
-            return sub.size
-        return comm.size
-
-    res = cluster.run(
-        program, recovery=RecoveryPolicy(mode="shrink"), faults=plan,
-        sanitize=True,
-    )
-    assert res.returns[5] is RANK_FAILED
-    assert [v for r, v in enumerate(res.returns) if r != 5] == [63] * 63
-
-
-@pytest.mark.parametrize("rank, fortieths", [(5, 5), (33, 10)])
-def test_send_booked_after_its_peer_died_raises_rank_failed(rank, fortieths):
-    """A send whose send overhead straddles its peer's node failure
-    books its route after the failure: the sender must see
-    ``RankFailedError`` and shrink, not a "no fault-free route"
-    ``FaultError`` that no recovery-aware program catches."""
-    healthy = Cluster(BGP, ranks=64, mode="SMP").run(_allreduces).elapsed
-    cluster = Cluster(BGP, ranks=64, mode="SMP")
-    node = cluster.mapping.node_of(rank)
-    plan = FaultPlan((NodeFail(time=fortieths / 40 * healthy, node=node),))
 
     def program(comm):
         try:
@@ -265,3 +244,4 @@ def test_send_booked_after_its_peer_died_raises_rank_failed(rank, fortieths):
     )
     assert res.returns[rank] is RANK_FAILED
     assert [v for r, v in enumerate(res.returns) if r != rank] == [63] * 63
+

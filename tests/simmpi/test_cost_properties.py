@@ -1,10 +1,9 @@
 """Property-based tests on the analytic cost model's invariants."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import numpy as np
-
-from repro.machines import all_machines, available_modes, resolve_mode, BGP, XT4_QC
+from repro.machines import all_machines, available_modes, BGP, resolve_mode, XT4_QC
 from repro.simmpi import CostModel
 from repro.topology.torus import Torus3D
 
