@@ -12,8 +12,9 @@ harness offers two evaluators sharing the machine model:
   most-loaded link, and combine the bandwidth term with the per-message
   overhead/latency terms.  The loads come from numpy arrays over all
   ranks: node coordinates from :meth:`Mapping.node_coords`, periodic
-  peers, and the dimension-order routes walked one hop per step for
-  every message at once.  Link loads scale linearly with the halo
+  peers, and one pass per torus dimension, in which every message's
+  dimension-order route is a run of links on one ring, summed into
+  per-ring difference arrays.  Link loads scale linearly with the halo
   width, so this analysis runs once per benchmark and serves its whole
   sweep.  Fig. 2 shares one benchmark per (grid, mode, mapping) across
   its panels, so there it runs once per configuration.
@@ -103,54 +104,77 @@ class HaloBenchmark:
         """Link loads and message mix of both phases (unit halo width).
 
         Every rank sends a weight-1 message to its north (west) peer and
-        a weight-2 one to its south (east) peer.  All messages of a phase
-        walk their dimension-order route (X, Y, Z; shortest wrap, ties
-        ``+``; extent-1 dimensions skipped) together, one hop per step,
-        and each hop adds the message's weight to the directed link
-        ``(node, dim, direction)`` it crosses.
+        a weight-2 one to its south (east) peer.  Each message follows
+        its dimension-order route (X, Y, Z; shortest wrap, ties ``+``;
+        extent-1 dimensions skipped), and each hop adds the message's
+        weight to the directed link ``(node, dim, direction)`` out of
+        the node the hop leaves.
+
+        In one dimension a message crosses a run of ``h`` consecutive
+        links of one ring.  The ring is fixed by the direction and by
+        the other two coordinates: dimensions already routed are at the
+        destination, later ones still at the source.  Going ``+`` the
+        run starts at the message's coordinate ``c``; going ``-`` it
+        ends there.  Each ring keeps a difference array over two laps
+        of its links, so no run wraps: a run adds its weight at its
+        first link and takes it off one past its last.  A running sum
+        gives each link's load as the sum of its two laps.
         """
         if self._phases is not None:
             return self._phases
         px, py = self.grid
         n = self.ranks
-        rank = np.arange(n)
+        # Coordinates, hop counts and ring slots are small: int32 halves
+        # the memory traffic of every pass.
+        rank = np.arange(n, dtype=np.int32)
         i, j = rank % px, rank // px
         phase_peers = (
             ((j - 1) % py * px + i, (j + 1) % py * px + i),  # north, south
             (j * px + (i - 1) % px, j * px + (i + 1) % px),  # west, east
         )
         shape = self.partition.torus_shape
-        src = self.mapping.node_coords(rank)
-        weights = np.repeat([1.0, 2.0], n)
+        # x, y and z of every rank's node; a peer's node is read by rank
+        node = np.ascontiguousarray(self.mapping.node_coords(rank).T, dtype=np.int32)
+        src = [np.concatenate([c, c]) for c in node]
+        # each run's weight at its first link, and off again past its last
+        signed = np.repeat([1.0, 2.0, -1.0, -2.0], n)
         phases = []
         for near, far in phase_peers:
-            dst = self.mapping.node_coords(np.concatenate([near, far]))
-            cur = np.concatenate([src, src])
-            hops = np.zeros(2 * n, dtype=np.int64)
-            links, loads = [np.zeros(0, np.int64)], [np.zeros(0)]
+            peer = np.concatenate([near, far])
+            dst = [c[peer] for c in node]
+            hops = np.zeros(2 * n, dtype=np.int32)
+            max_load = 0.0
             for dim, ext in enumerate(shape):
                 if ext == 1:
                     continue
-                delta = (dst[:, dim] - cur[:, dim]) % ext
+                # where each message stands when it turns into this dim
+                at = dst[:dim] + src[dim:]
+                c = at[dim]
+                delta = dst[dim] - c
+                delta += ext * (delta < 0)
                 forward = delta <= ext - delta
-                step = np.where(forward, 1, -1)
-                dim_hops = np.where(forward, delta, ext - delta)
-                hops += dim_hops
-                for k in range(int(dim_hops.max())):
-                    moving = dim_hops > k
-                    at = cur[moving]
-                    node = (at[:, 2] * shape[1] + at[:, 1]) * shape[0] + at[:, 0]
-                    # link id (node, dim, direction): direction 0 is +, 1 is -
-                    links.append((node * 3 + dim) * 2 + ~forward[moving])
-                    loads.append(weights[moving])
-                    cur[moving, dim] = (at[:, dim] + step[moving]) % ext
-            link_load = np.bincount(
-                np.concatenate(links), np.concatenate(loads), minlength=1
-            )
+                h = np.where(forward, delta, ext - delta)
+                hops += h
+                # One row of two laps and an end slot per ring: the other
+                # two coordinates, then the direction (0 is +, 1 is -).
+                # A message that stays put takes off its weight in the
+                # slot it adds it to.
+                a, b = (k for k in range(3) if k != dim)
+                width = 2 * ext + 1
+                first = ((at[b] * shape[a] + at[a]) * 2 + ~forward) * width
+                first += np.where(forward, c, c + ext + 1 - h)
+                diff = np.bincount(
+                    np.concatenate([first, first + h]),
+                    signed,
+                    minlength=2 * shape[a] * shape[b] * width,
+                )
+                # Every row sums to zero, so one running sum serves all.
+                run = np.cumsum(diff).reshape(-1, width)
+                max_load = max(max_load, (run[:, :ext] + run[:, ext:-1]).max())
             shm = (hops[:n] == 0).astype(int) + (hops[n:] == 0)
             phases.append(
                 _PhaseShape(
-                    max_link_units=float(link_load.max()),
+                    max_link_units=float(max_load),
                     max_hops=int(hops.max()),
                     net_msgs=int((2 - shm).max()),
                     shm_msgs=int(shm.max()),

@@ -102,14 +102,15 @@ class Mapping:
     def _digits(self, rank: Any) -> Dict[str, Any]:
         """Mixed-radix digits of ``rank`` (an int or an integer array).
 
-        The first letter of :attr:`order` varies fastest.
+        The first letter of :attr:`order` varies fastest.  An array
+        ``rank`` is left as it was.
         """
         ext = self.extents
         vals: Dict[str, Any] = {}
         rem = rank
         for letter in self.order:
             vals[letter] = rem % ext[letter]
-            rem //= ext[letter]
+            rem = rem // ext[letter]
         return vals
 
     def coords(self, rank: int) -> Tuple[int, int, int, int]:

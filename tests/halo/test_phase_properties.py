@@ -1,10 +1,10 @@
 """Property tests: the vectorized HALO phase analysis equals per-message routing.
 
-``HaloBenchmark._analyze_phases`` walks all messages of a phase over the
-torus at once.  The reference below is the per-message analysis it
-replaced: each message resolved with ``neighbors2d`` and
-``Mapping.node_of`` and routed with a healthy ``Torus3D.route``, its
-weight added to every directed link on the route.
+``HaloBenchmark._analyze_phases`` loads the links of a phase from ring
+difference arrays over all messages at once.  The reference below is
+the per-message analysis it replaced: each message resolved with
+``neighbors2d`` and ``Mapping.node_of`` and routed with a healthy
+``Torus3D.route``, its weight added to every directed link on the route.
 """
 
 import dataclasses
@@ -74,6 +74,8 @@ grids = st.tuples(st.integers(1, 12), st.integers(1, 12))
 @example((1, 1), "DUAL", "ZYXT")
 @example((3, 3), "VN", "XYZT")  # 9 ranks on a 12-slot (3, 1, 1) partition
 @example((16, 8), "VN", "TZYX")  # (4, 4, 2): an extent-2 dimension
+@example((64, 32), "VN", "TZYX")  # Fig. 2(e): 2,048 ranks on (8, 8, 8)
+@example((128, 64), "VN", "TXYZ")  # Fig. 2(a): 8,192 ranks on (16, 16, 8)
 def test_phases_match_per_message_routing(grid, mode, order):
     hb = HaloBenchmark(BGP, grid, mode=mode, mapping=order)
     assert hb._analyze_phases() == reference_phases(hb)
@@ -87,6 +89,9 @@ torus_shapes = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)
 @example((1, 6), "SMP", "XYZT", (1, 2, 3))
 @example((6, 1), "VN", "TZYX", (2, 1, 1))
 @example((4, 4), "SMP", "YZXT", (1, 4, 4))
+# Half-way round an extent-4 ring: routed -, the ties would load the
+# busiest west/east link 4 units, not 5.
+@example((3, 2), "SMP", "XYZT", (4, 2, 1))
 def test_phases_match_on_any_torus(grid, mode, order, shape):
     """Arbitrary partitions: extent-1 and extent-2 dims, spare node slots."""
     hb = HaloBenchmark(BGP, grid, mode=mode, mapping=order)
@@ -104,6 +109,13 @@ def test_node_coords_matches_node_of(order, shape, tasks_per_node):
     assert [tuple(row) for row in coords.tolist()] == [
         mapping.node_of(r) for r in range(mapping.size)
     ]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_node_coords_leaves_ranks_unchanged(dtype):
+    ranks = np.arange(8, dtype=dtype)
+    Mapping("XYZT", (4, 2, 2), 4).node_coords(ranks)
+    assert np.array_equal(ranks, np.arange(8))
 
 
 @pytest.mark.parametrize("bad", [[16], [-1], [0, 16]])
