@@ -14,7 +14,7 @@ The synthetic land is drawn on square cells of 8 x 8 grid points, so
 the mask is constant on each cell (only the last row or column of cells
 can be partial).  ``imbalance`` never builds the full-resolution mask:
 it reads each block's ocean count from a summed-area table of the
-ocean cells.
+ocean cells, and it computes each decomposition once per process.
 """
 
 from __future__ import annotations
@@ -183,12 +183,17 @@ def _block_ocean_counts(grid: PopGrid, px: int, py: int, seed: int) -> np.ndarra
     ).astype(float).ravel()
 
 
+@lru_cache(maxsize=256)
 def imbalance(grid: PopGrid, processes: int, seed: int = 101) -> Imbalance:
     """Baroclinic load imbalance of a ``processes``-rank decomposition.
 
     Computed from the actual per-block ocean point counts of the
     synthetic mask; grows as blocks shrink, exactly the effect the
     paper isolated with its pre-barotropic timing barrier.
+
+    The result is a pure function of its arguments, so it is memoized
+    (``imbalance.cache_clear()`` empties the memo): Fig. 4 and Table 3
+    ask for 23 distinct decompositions 93 times.
     """
     px, py = decompose(processes, grid.nx, grid.ny)
     if px > grid.nx or py > grid.ny:

@@ -8,14 +8,19 @@ full-resolution field, threshold it with ``np.quantile`` and sum the
 ocean mask over each block's slice, as the code did before the cells.
 """
 
+import pathlib
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.apps.pop import decompose, imbalance, PopGrid, TENTH_DEGREE
+from repro.apps.pop import decompose, grid as grid_module, imbalance, PopGrid, TENTH_DEGREE
 from repro.apps.pop.grid import _block_ocean_counts, _land_cells
+from repro.campaign.cache import artifact_text
+from repro.core import run_experiment
 
 FRACTIONS = [0.05, 0.3, 0.5, 0.71, 0.93, 1.0]
 PAPER_DECOMPOSITIONS = (100, 500, 1000, 2000, 4000, 8000, 16000, 40000)
+PINNED = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "output"
 
 
 def reference_mask(grid, seed):
@@ -133,6 +138,7 @@ def test_mask_built_once_across_decompositions(monkeypatch):
 
     monkeypatch.setattr(PopGrid, "land_mask", never)
     _land_cells.cache_clear()
+    imbalance.cache_clear()
     try:
         for processes in PAPER_DECOMPOSITIONS:
             imbalance(TENTH_DEGREE, processes)
@@ -140,3 +146,24 @@ def test_mask_built_once_across_decompositions(monkeypatch):
         assert built == []
     finally:
         _land_cells.cache_clear()
+
+
+def test_fig4_and_table3_count_each_decomposition_once(monkeypatch):
+    """Fig. 4 and Table 3 ask for 93 imbalances of 23 decompositions:
+    each decomposition's blocks are counted once, and both artifacts
+    still equal their pins."""
+    counted = []
+
+    def counting(grid, px, py, seed):
+        counted.append((grid, px, py, seed))
+        return _block_ocean_counts(grid, px, py, seed)
+
+    monkeypatch.setattr(grid_module, "_block_ocean_counts", counting)
+    imbalance.cache_clear()
+    try:
+        for eid in ("fig4", "table3"):
+            pinned = (PINNED / f"{eid}.txt").read_text(encoding="utf-8")
+            assert artifact_text(run_experiment(eid)) == pinned
+        assert len(counted) == len(set(counted)) == 23
+    finally:
+        imbalance.cache_clear()
