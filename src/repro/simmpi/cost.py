@@ -77,7 +77,7 @@ class CostModel:
         )
         self._barrier = BarrierNetwork(nodes)
         # The partition, mode and machine are frozen, so every message
-        # round shares these two constants.
+        # round and compute region shares these constants.
         #: Mean route length in the partition, fragmentation-dilated.
         self.avg_hops: float = partition.effective_hops(self._torus.average_distance())
         #: Best-case single-message bandwidth for one rank, bytes/s: the
@@ -88,6 +88,10 @@ class CostModel:
             min(machine.torus.single_stream_bandwidth, self.mode.injection_bw_per_task)
             / partition.contention_multiplier
         )
+        #: Sustained memory bandwidth per task, bytes/s (the mode's share).
+        self.stream_bw_per_task: float = self.mode.stream_bw_per_task
+        #: Peak flop/s per task (the mode's share of the node's cores).
+        self.peak_flops_per_task: float = self.mode.peak_flops_per_task
 
     # ------------------------------------------------------------------
     # building blocks
@@ -320,7 +324,7 @@ class CostModel:
         """Time for one rank to combine ``nbytes`` of reduction operands."""
         elems = nbytes / 8.0
         # Reduction combine is memory-streaming work, not peak flops.
-        bw = self.mode.stream_bw_per_task
+        bw = self.stream_bw_per_task
         return 3.0 * nbytes / bw if bw > 0 else elems / self.machine.node.core.peak_flops
 
     def _local_combine_time(self, nbytes: float) -> float:
@@ -343,8 +347,8 @@ class CostModel:
         """
         if flops < 0 or bytes_moved < 0:
             raise ValueError("work quantities must be non-negative")
-        peak = self.mode.peak_flops_per_task
+        peak = self.peak_flops_per_task
         t_flops = flops / peak if peak > 0 else 0.0
-        bw = self.mode.stream_bw_per_task
+        bw = self.stream_bw_per_task
         t_mem = bytes_moved / bw if bw > 0 else 0.0
         return max(t_flops, t_mem)

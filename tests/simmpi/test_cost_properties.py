@@ -105,7 +105,8 @@ def _reference_p2p_bandwidth(c):
 )
 def test_partition_constants_match_reference(machine, data, seed, utilization):
     """The constants fixed at construction equal, bit for bit, the
-    property formulas they replaced, on quiet and fragmented partitions."""
+    property formulas they replaced, on quiet and fragmented partitions,
+    and the mode's per-task shares."""
     mode = data.draw(st.sampled_from(available_modes(machine)))
     max_ranks = resolve_mode(machine, mode).ranks_for_nodes(machine.total_nodes)
     ranks = data.draw(st.integers(1, min(max_ranks, 1 << 15)))
@@ -113,3 +114,5 @@ def test_partition_constants_match_reference(machine, data, seed, utilization):
     c = CostModel(machine, mode, ranks, rng=rng, utilization=utilization)
     assert c.avg_hops == _reference_avg_hops(c)
     assert c.p2p_bandwidth == _reference_p2p_bandwidth(c)
+    assert c.stream_bw_per_task == c.mode.stream_bw_per_task
+    assert c.peak_flops_per_task == c.mode.peak_flops_per_task
