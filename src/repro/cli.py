@@ -7,6 +7,7 @@ Usage::
     python -m repro run all -o out/      # regenerate everything to files
     python -m repro run all -o out/ --jobs 4   # ... through the worker pool
     python -m repro run fig3 --trace t.json --metrics m.json
+    python -m repro run all --profile    # ... plus host time by layer on stderr
     python -m repro campaign run all -o camp/ --jobs 4   # cached campaign
     python -m repro campaign run all -o camp/ --chaos seed=42,kills=1  # fault drill
     python -m repro campaign status -o camp/
@@ -35,6 +36,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -77,10 +79,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     jobs = getattr(args, "jobs", 1) or 1
+    profiler = None
+    if args.profile:
+        if jobs > 1:
+            print(
+                "repro run: --profile needs --jobs 1 (pool workers are not profiled)",
+                file=sys.stderr,
+            )
+            return 2
+        from .perf import HostProfiler
+
+        profiler = HostProfiler()
     if args.experiment == "all" and args.output:
         # `run all -o` rides the campaign layer: worker pool, result
         # cache under <out>/.cache, and a manifest.json index.
-        return _run_all_campaign(args, params, jobs)
+        return _run_all_campaign(args, params, jobs, profiler)
     ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     outdir: Optional[pathlib.Path] = (
         pathlib.Path(args.output) if args.output else None
@@ -128,11 +141,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tracer = Tracer()
     for eid in ids:
         try:
-            if tracer is not None:
-                with tracing(tracer):
+            with profiler or contextlib.nullcontext():
+                if tracer is not None:
+                    with tracing(tracer):
+                        text = run_experiment(eid, **params)
+                else:
                     text = run_experiment(eid, **params)
-            else:
-                text = run_experiment(eid, **params)
         except KeyError as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -145,14 +159,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print(text)
             print()
-    if tracer is not None:
-        from .obs import write_chrome_trace, write_metrics
-
-        if args.trace:
-            print(f"wrote {write_chrome_trace(tracer, args.trace)}")
-        if args.metrics:
-            print(f"wrote {write_metrics(tracer, args.metrics)}")
+    _write_observations(args, tracer, profiler)
     return 0
+
+
+def _write_observations(args: argparse.Namespace, tracer: Any, profiler: Any) -> None:
+    """``repro run``'s host profile (on stderr, so stdout stays the
+    artifact text), then its ``--trace`` and ``--metrics`` files; the
+    trace also carries the profile."""
+    if profiler is not None:
+        print(
+            "repro run: host profile of this process; the first call into "
+            "a layer includes importing it",
+            file=sys.stderr,
+        )
+        print(profiler.report(), file=sys.stderr)
+    if tracer is None:
+        return
+    from .obs import write_chrome_trace, write_metrics
+
+    if args.trace:
+        if profiler is not None:
+            profiler.export(tracer)
+        print(f"wrote {write_chrome_trace(tracer, args.trace)}")
+    if args.metrics:
+        print(f"wrote {write_metrics(tracer, args.metrics)}")
 
 
 def _execute_job_tuple(job):
@@ -162,7 +193,9 @@ def _execute_job_tuple(job):
     return execute_job(*job)
 
 
-def _run_all_campaign(args: argparse.Namespace, params: Dict[str, float], jobs: int) -> int:
+def _run_all_campaign(
+    args: argparse.Namespace, params: Dict[str, float], jobs: int, profiler: Any
+) -> int:
     """``repro run all -o out/``: campaign-backed regeneration + manifest."""
     from .campaign import MANIFEST_FILE, CampaignRunner, CampaignSpec, SpecError
 
@@ -179,7 +212,8 @@ def _run_all_campaign(args: argparse.Namespace, params: Dict[str, float], jobs: 
         tracer = Tracer()
     runner = CampaignRunner(spec, outdir, jobs=jobs, tracer=tracer)
     try:
-        result = _run_campaign(runner, tracer)
+        with profiler or contextlib.nullcontext():
+            result = _run_campaign(runner, tracer)
     except SpecError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -195,13 +229,7 @@ def _run_all_campaign(args: argparse.Namespace, params: Dict[str, float], jobs: 
             status = 1
     print(f"wrote {outdir / MANIFEST_FILE}")
     print(result.summary_line())
-    if tracer is not None:
-        from .obs import write_chrome_trace, write_metrics
-
-        if args.trace:
-            print(f"wrote {write_chrome_trace(tracer, args.trace)}")
-        if args.metrics:
-            print(f"wrote {write_metrics(tracer, args.metrics)}")
+    _write_observations(args, tracer, profiler)
     return status
 
 
@@ -803,6 +831,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--metrics", metavar="FILE", help="write the metrics-registry JSON"
+    )
+    p_run.add_argument(
+        "--profile", action="store_true",
+        help="print the host time by layer and the hotspots on stderr "
+             "(and into --trace); needs --jobs 1",
     )
     p_run.add_argument(
         "--param", dest="params", action="append", metavar="KEY=VALUE",

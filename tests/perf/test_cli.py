@@ -1,9 +1,10 @@
-"""`repro bench` CLI: list, run, compare, profile."""
+"""`repro bench` CLI: list, run, compare, profile; and `repro run --profile`."""
 
 import json
 import re
 
 from repro.cli import main
+from repro.core import run_experiment
 from repro.obs import validate_trace_events
 from repro.perf import (
     benchmark_ids,
@@ -140,3 +141,24 @@ def test_bench_profile_list_and_errors(capsys):
     assert "allreduce" in capsys.readouterr().out
     assert main(["bench", "profile"]) == 2
     assert main(["bench", "profile", "nope"]) == 2
+
+
+def test_run_profile_lists_layers_on_stderr(tmp_path, capsys):
+    out = tmp_path / "fig2.trace.json"
+    assert main(["run", "fig2", "--profile", "--trace", str(out)]) == 0
+    captured = capsys.readouterr()
+    # stdout is the artifact and the trace line; the profile is on stderr
+    assert captured.out == f"{run_experiment('fig2')}\n\nwrote {out}\n"
+    assert re.search(r"^  halo +\d", captured.err, re.M)  # a layer row
+    layers = {
+        e["name"]
+        for e in json.loads(out.read_text())["traceEvents"]
+        if e.get("pid") == HOST_PID and e.get("cat") == "host.layer"
+    }
+    assert "host:halo" in layers
+
+
+def test_run_profile_refuses_pool_workers(capsys):
+    assert main(["run", "all", "--profile", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not profiled" in err
